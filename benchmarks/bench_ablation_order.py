@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RFN, RfnConfig, RfnStatus
+from repro.core import RFN, RfnConfig
 from repro.designs import table1_workloads
+from repro.engine import Verdict
 from reporting import emit_table
 
 WORKLOADS = [w for w in table1_workloads() if w.expected]
@@ -29,7 +30,7 @@ def run(workload, reuse):
         max_seconds=600,
     )
     result = RFN(workload.circuit, workload.prop, config).run()
-    assert result.status is RfnStatus.VERIFIED
+    assert result.status is Verdict.VERIFIED
     nodes = sum(it.bdd_nodes for it in result.iterations)
     return result.seconds, nodes, len(result.iterations)
 

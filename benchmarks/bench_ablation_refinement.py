@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RFN, RfnConfig, RfnStatus
+from repro.core import RFN, RfnConfig
 from repro.designs import table1_workloads
+from repro.engine import Verdict
 from reporting import emit_table
 
 WORKLOADS = [w for w in table1_workloads() if w.expected]
@@ -40,8 +41,8 @@ def test_refinement_ablation(benchmark, workload):
         return with_min, without
 
     with_min, without = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    assert with_min.status is RfnStatus.VERIFIED
-    assert without.status is RfnStatus.VERIFIED
+    assert with_min.status is Verdict.VERIFIED
+    assert without.status is Verdict.VERIFIED
     assert (
         with_min.abstract_model_registers <= without.abstract_model_registers
     )

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RFN, RfnConfig, RfnStatus
+from repro.core import RFN, RfnConfig
 from repro.designs import table1_workloads
+from repro.engine import Verdict
 from repro.mc import CheckOutcome, model_check_coi
 from repro.mc.reach import ReachLimits
 from repro.netlist.ops import coi_stats
@@ -44,7 +45,7 @@ def test_table1_rfn(benchmark, workload):
         ).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    expected = RfnStatus.VERIFIED if workload.expected else RfnStatus.FALSIFIED
+    expected = Verdict.VERIFIED if workload.expected else Verdict.FALSIFIED
     assert result.status is expected
     _ROWS[workload.name] = (
         workload.name,

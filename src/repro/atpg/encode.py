@@ -44,6 +44,14 @@ class Unroller:
     initial_state:
         Optional explicit (partial) initial state overriding the declared
         init values.
+    guarded:
+        Registers whose frame connections and initial-value constraint
+        are guarded by an activation variable (:attr:`activation`): each
+        such clause carries the negated activation literal, so the
+        register behaves as a register while its literal is assumed and
+        as a free input at every frame otherwise.  One unrolling then
+        answers queries on every model between "none of them" and "all
+        of them" (Een-Mishchenko-Amla's abstraction literals).
     """
 
     def __init__(
@@ -52,6 +60,7 @@ class Unroller:
         cycles: int,
         use_initial_state: bool = True,
         initial_state: Optional[Mapping[str, int]] = None,
+        guarded: Iterable[str] = (),
     ) -> None:
         if cycles < 1:
             raise ValueError("cycles must be >= 1")
@@ -60,6 +69,13 @@ class Unroller:
         self.cnf = CNF()
         self._vars: List[Dict[str, int]] = []
         self._template = frame_template(circuit)
+        #: guarded register -> its activation variable
+        self.activation: Dict[str, int] = {}
+        for name in guarded:
+            if not circuit.is_register_output(name):
+                raise ValueError(f"{name!r} is not a register output")
+            if name not in self.activation:
+                self.activation[name] = self.cnf.new_var(f"{name}$active")
         with PERF.timed("kernel.unroll"):
             for frame in range(cycles):
                 self._append_frame(frame)
@@ -67,17 +83,23 @@ class Unroller:
             for name, value in initial_state.items():
                 if not circuit.is_register_output(name):
                     raise ValueError(f"{name!r} is not a register output")
-                self.cnf.add_unit(
-                    self.lit(name, 0) if value else -self.lit(name, 0)
+                self._constrain(
+                    name, [self.lit(name, 0) if value else -self.lit(name, 0)]
                 )
         elif use_initial_state:
             for name, reg in circuit.registers.items():
                 if reg.init is not None:
-                    self.cnf.add_unit(
-                        self.lit(name, 0) if reg.init else -self.lit(name, 0)
+                    self._constrain(
+                        name,
+                        [self.lit(name, 0) if reg.init else -self.lit(name, 0)],
                     )
 
     # ------------------------------------------------------------------
+
+    def _constrain(self, register: str, clause: List[int]) -> None:
+        """Add a clause about ``register``, guarded if the register is."""
+        act = self.activation.get(register)
+        self.cnf.add_clause(clause if act is None else clause + [-act])
 
     def _append_frame(self, frame: int) -> None:
         frame_vars = self._template.instantiate(self.cnf, frame)
@@ -85,7 +107,9 @@ class Unroller:
         if frame > 0:
             previous = self._vars[frame - 1]
             for name, reg in self.circuit.registers.items():
-                self.cnf.add_equiv(frame_vars[name], previous[reg.data])
+                now, before = frame_vars[name], previous[reg.data]
+                self._constrain(name, [-now, before])
+                self._constrain(name, [now, -before])
 
     def extend_to(self, cycles: int) -> int:
         """Grow the unrolling to ``cycles`` time frames, appending only
@@ -163,6 +187,10 @@ class SolverSession:
     Growing the unrolling beyond a query's depth is sound and complete
     for that query: the transition function is total, so frames past the
     queried prefix never constrain it.
+
+    ``guarded`` registers get activation literals (see :class:`Unroller`);
+    a query enables a guarded register by assuming its literal and
+    disables it by assuming the negation.
     """
 
     def __init__(
@@ -171,12 +199,14 @@ class SolverSession:
         cycles: int = 1,
         use_initial_state: bool = True,
         initial_state: Optional[Mapping[str, int]] = None,
+        guarded: Iterable[str] = (),
     ) -> None:
         self.unroller = Unroller(
             circuit,
             cycles,
             use_initial_state=use_initial_state,
             initial_state=initial_state,
+            guarded=guarded,
         )
         self.solver = Solver()
         self.solver.attach(self.unroller.cnf)

@@ -3,8 +3,8 @@
 Both engines answer the paper's three-way query (trace found / cubes
 unsatisfiable / resources exceeded) by encoding the time-frame-expanded
 circuit into CNF and running the budgeted CDCL solver.  Sequential results
-are cross-checked against the levelized simulator before being returned,
-so an encoder bug can never masquerade as a verification result.
+are replayed on the kernel simulator before being returned, so an
+encoder bug can never masquerade as a verification result.
 
 By default both engines run *incrementally*: the unrolling and solver
 come from the :func:`repro.kernel.scache.solver_session` pool, target and
@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.atpg.encode import Unroller
+from repro.kernel.bitsim import BitParallelSimulator, pack_value
 from repro.kernel.perf import PERF
 from repro.kernel.scache import solver_session
 from repro.obs import tracer as obs
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
 from repro.sat.solver import SatStatus, Solver
-from repro.sim.simulator import Simulator
 
 
 class AtpgOutcome(enum.Enum):
@@ -226,7 +226,7 @@ def _sequential_atpg(
             unroller.decode_inputs(result.model, cycle),
         )
     if verify:
-        _check_trace(circuit, trace, cube_map, skip_missing)
+        check_trace(circuit, trace, cube_map, skip_missing)
     return AtpgResult(
         AtpgOutcome.TRACE_FOUND,
         trace=trace,
@@ -313,33 +313,47 @@ def _combinational_atpg(
     )
 
 
-def _check_trace(
+def check_trace(
     circuit: Circuit,
     trace: Trace,
-    cube_map: Dict[int, Dict[str, int]],
-    skip_missing: bool,
+    cube_map: CubeMap,
+    skip_missing: bool = False,
+    driven: Iterable[str] = (),
 ) -> None:
-    """Simulate the extracted trace and assert every cube holds.
+    """Replay a SAT-extracted trace on the kernel simulator and assert
+    that every state and every cube holds.
 
-    This is an internal consistency check between the CNF encoding and the
-    simulator; a failure indicates a bug, not an analysis result.
+    Registers in ``driven`` are not latched: like inputs they take the
+    trace's value at every cycle (a refinement probe's inactive
+    candidates).  This is an internal consistency check between the CNF
+    encoding and the simulator; a failure indicates a bug, not an
+    analysis result.
     """
-    sim = Simulator(circuit)
-    state = dict(trace.states[0])
+    sim = BitParallelSimulator(circuit)
+    driven = list(driven)
+    state = {
+        name: pack_value(value, 1) for name, value in trace.states[0].items()
+    }
     for cycle in range(trace.length):
-        values, next_state = sim.step(state, trace.inputs[cycle])
+        drive = {
+            name: pack_value(value, 1)
+            for name, value in trace.inputs[cycle].items()
+        }
+        for name in driven:
+            drive[name] = pack_value(trace.states[cycle][name], 1)
+        frame = sim.evaluate(state, drive, 1)
         for name, expected in trace.states[cycle].items():
-            if values[name] != expected:
+            if frame.value(name) != expected:
                 raise AssertionError(
                     f"trace/simulation mismatch for state {name!r} at cycle "
-                    f"{cycle}: trace {expected}, simulated {values[name]}"
+                    f"{cycle}: trace {expected}, simulated {frame.value(name)}"
                 )
         for name, expected in cube_map.get(cycle, {}).items():
-            if skip_missing and name not in values:
+            if skip_missing and not circuit.is_defined(name):
                 continue
-            if values[name] != expected:
+            if frame.value(name) != expected:
                 raise AssertionError(
                     f"cube/simulation mismatch for {name!r} at cycle "
-                    f"{cycle}: cube {expected}, simulated {values[name]}"
+                    f"{cycle}: cube {expected}, simulated {frame.value(name)}"
                 )
-        state = next_state
+        state = sim.next_state(frame)

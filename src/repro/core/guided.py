@@ -24,9 +24,9 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.atpg.engine import AtpgBudget, AtpgOutcome, AtpgResult, sequential_atpg
 from repro.core.property import UnreachabilityProperty
+from repro.kernel.scache import coi_model
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
-from repro.netlist.ops import coi_registers, extract_subcircuit
 from repro.sim.logic3 import ONE, X
 from repro.sim.simulator import Simulator
 
@@ -109,10 +109,7 @@ def guided_concrete_search(
     trace becomes concrete enough to replay.
     """
     budget = budget or AtpgBudget()
-    coi = coi_registers(original, prop.signals())
-    reduced = extract_subcircuit(
-        original, coi, prop.signals(), name=f"{original.name}.coi"
-    )
+    reduced = coi_model(original, prop.signals())
     total_conflicts = 0
     result = None
     for trace in traces:

@@ -15,20 +15,32 @@ time to the abstract model until sequential ATPG reports the trace
 unsatisfiable on the refined model, discard the untouched rest, then try
 to remove each earlier addition, keeping it out only if the trace stays
 unsatisfiable.  If ATPG ever aborts on its budget, fail safe by keeping
-all candidates.
+all candidates.  Every probe of one refinement step runs on a single SAT
+instance (:class:`CandidateProbe`) in which an activation literal per
+candidate decides whether that register belongs to the probed model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
+from repro.atpg.encode import SolverSession
+from repro.atpg.engine import (
+    AtpgBudget,
+    AtpgOutcome,
+    check_trace,
+    sequential_atpg,
+)
 from repro.core.abstraction import Abstraction
 from repro.kernel.bitsim import BitParallelSimulator, pack_value, planes_value
 from repro.kernel.perf import PERF
+from repro.kernel.scache import solver_session
+from repro.obs import tracer as obs
+from repro.sat.solver import SatStatus
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
+from repro.netlist.ops import combinational_cone
 from repro.sim.logic3 import X
 
 
@@ -154,6 +166,144 @@ def trace_satisfiable_on(
     return result.outcome
 
 
+def _defined_among(
+    circuit: Circuit, roots: Sequence[str], signals: Set[str]
+) -> Set[str]:
+    """The members of ``signals`` that a model extracted with cone roots
+    ``roots`` defines as an input or a gate: the non-gate support of the
+    roots (:func:`~repro.netlist.ops.extract_subcircuit`'s boundary) and
+    the gates of their combinational cone."""
+    found: Set[str] = set()
+    for root in roots:
+        found |= signals.intersection(circuit.support_of_signal(root))
+    if any(circuit.is_gate_output(name) for name in signals):
+        found |= signals.intersection(combinational_cone(circuit, roots))
+    return found
+
+
+class CandidateProbe:
+    """Step 4's trace-satisfiability probes on one SAT instance.
+
+    :meth:`outcome` answers ``trace_satisfiable_on(
+    abstraction.with_registers(S), trace)`` for any ``S`` within
+    ``candidates`` without extracting that model.  The instance unrolls
+    the *union model* -- the kept registers plus every candidate -- once,
+    with each candidate's frame connections and initial value guarded by
+    an activation literal (Een-Mishchenko-Amla's abstraction literals,
+    arXiv:1008.2021): a candidate assumed inactive is a free input at
+    every frame, which is what ``with_registers(S)`` makes of a candidate
+    outside ``S``.  The union model's remaining logic (the fanin cones of
+    inactive candidates) only drives unconstrained signals, and a probe
+    asserts exactly the cube literals the per-model query asserts -- the
+    trace's signals that ``with_registers(S)`` defines -- so each probe
+    has the per-model answer while learned clauses carry over between
+    probes.  A SAT answer is replayed on the kernel simulator before it
+    is believed.  ``incremental=False`` builds the instance outside the
+    solver-session pool.
+    """
+
+    def __init__(
+        self,
+        abstraction: Abstraction,
+        trace: Trace,
+        candidates: Sequence[str],
+        budget: Optional[AtpgBudget] = None,
+        incremental: bool = True,
+    ) -> None:
+        kept = abstraction.kept_registers
+        candidates = list(dict.fromkeys(candidates))
+        guarded = [name for name in candidates if name not in kept]
+        self.model = abstraction.with_registers(candidates)
+        self.budget = budget or AtpgBudget()
+        self.cycles = trace.length
+        if incremental:
+            self.session = solver_session(
+                self.model, self.cycles, guarded=guarded
+            )
+        else:
+            self.session = SolverSession(
+                self.model, self.cycles, guarded=guarded
+            )
+        unroller = self.session.unroller
+        #: (cycle, signal, value, literal) for every cube entry the union
+        #: model can encode, in trace order
+        self._cube: List[Tuple[int, str, int, int]] = [
+            (cycle, name, value, unroller.lit(name, cycle, value))
+            for cycle in range(self.cycles)
+            for name, value in trace.cube_at(cycle).items()
+            if self.model.is_defined(name)
+        ]
+        signals = {name for _, name, _, _ in self._cube}
+        original = abstraction.original
+        registers = original.registers
+        roots = list(abstraction.prop.signals())
+        #: cube signals every probed model defines
+        self._base = signals.intersection(kept) | _defined_among(
+            original, roots + [registers[r].data for r in kept], signals
+        )
+        #: cube signals a candidate's register and fanin cone add
+        self._brings: Dict[str, Set[str]] = {
+            name: signals.intersection((name,))
+            | _defined_among(original, [registers[name].data], signals)
+            for name in candidates
+        }
+
+    def outcome(self, registers: Iterable[str]) -> AtpgOutcome:
+        """The three-way ATPG answer for ``with_registers(registers)``."""
+        active = set(registers)
+        defined = set(self._base)
+        for name in active:
+            defined |= self._brings[name]
+        activation = self.session.unroller.activation
+        assumptions = [
+            act if name in active else -act
+            for name, act in activation.items()
+        ]
+        asserted = [entry for entry in self._cube if entry[1] in defined]
+        assumptions.extend(lit for _, _, _, lit in asserted)
+        with obs.span("refine.probe", registers=len(active)) as phase:
+            result = self.session.solve(
+                assumptions, **self.budget.solve_kwargs()
+            )
+            if result.status is SatStatus.UNSAT:
+                outcome = AtpgOutcome.UNSATISFIABLE
+            elif result.status is SatStatus.UNKNOWN:
+                outcome = AtpgOutcome.ABORTED
+            else:
+                outcome = AtpgOutcome.TRACE_FOUND
+                self._check(result.model, active, asserted)
+            phase.set(
+                result=outcome.value,
+                conflicts=result.conflicts,
+                decisions=result.decisions,
+            )
+        PERF.gauge("atpg.conflicts", result.conflicts)
+        return outcome
+
+    def _check(
+        self,
+        model: Dict[int, bool],
+        active: Set[str],
+        asserted: List[Tuple[int, str, int, int]],
+    ) -> None:
+        """Replay a SAT answer on the union model -- inputs and inactive
+        candidates driven from the model, active registers latched --
+        and assert that every register value and every asserted cube
+        entry holds."""
+        unroller = self.session.unroller
+        trace = Trace(circuit_name=self.model.name)
+        for cycle in range(self.cycles):
+            trace.append_cycle(
+                unroller.decode_state(model, cycle),
+                unroller.decode_inputs(model, cycle),
+            )
+        cubes: Dict[int, Dict[str, int]] = {}
+        for cycle, name, value, _ in asserted:
+            cubes.setdefault(cycle, {})[name] = value
+        inactive = [name for name in unroller.activation if name not in active]
+        check_trace(self.model, trace, cubes, driven=inactive)
+
+
 def minimize_candidates(
     abstraction: Abstraction,
     trace: Trace,
@@ -163,11 +313,14 @@ def minimize_candidates(
 ) -> RefinementResult:
     """Phase 2: the greedy add-until-unsatisfiable / try-remove loop.
 
-    Each candidate model is structurally fingerprinted, so with
-    ``incremental`` the repeated trace-satisfiability probes on the same
-    register set (add pass vs. removal pass, and across CEGAR
-    iterations) reuse one pooled solver per model."""
+    Every add and remove probe is one assumption query on a single
+    :class:`CandidateProbe` instance built for this refinement step."""
     stats = RefinementStats(candidates=len(candidates), minimized=True)
+    if not candidates:
+        return RefinementResult([], stats)
+    probe = CandidateProbe(
+        abstraction, trace, candidates, budget, incremental
+    )
     added: List[str] = []
     unsatisfiable = False
     runtime = budget.runtime if budget is not None else None
@@ -175,9 +328,8 @@ def minimize_candidates(
         if runtime is not None:
             runtime.checkpoint(engine="refine")
         added.append(register)
-        model = abstraction.with_registers(added)
         stats.atpg_calls += 1
-        outcome = trace_satisfiable_on(model, trace, budget, incremental)
+        outcome = probe.outcome(added)
         if outcome is AtpgOutcome.UNSATISFIABLE:
             unsatisfiable = True
             break
@@ -194,9 +346,8 @@ def minimize_candidates(
         if runtime is not None:
             runtime.checkpoint(engine="refine")
         tentative = [r for r in kept if r != register]
-        model = abstraction.with_registers(tentative)
         stats.atpg_calls += 1
-        outcome = trace_satisfiable_on(model, trace, budget, incremental)
+        outcome = probe.outcome(tentative)
         if outcome is AtpgOutcome.UNSATISFIABLE:
             kept = tentative  # still invalid without it: drop for good
     stats.selected = len(kept)

@@ -47,13 +47,13 @@ from repro.engine.result import (
     VerifyResult,
 )
 from repro.engine.verdict import Verdict
+from repro.kernel.scache import coi_model
 from repro.mc.bmc import BmcOutcome, bmc
 from repro.mc.checker import _extract_error_trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
 from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
 from repro.netlist.circuit import Circuit
-from repro.netlist.ops import coi_registers, extract_subcircuit
 from repro.trace import Trace
 
 
@@ -182,10 +182,7 @@ class BddReachEngine(Engine):
         limits: Limits,
     ) -> VerifyResult:
         prop.validate_against(circuit)
-        coi = coi_registers(circuit, prop.signals())
-        reduced = extract_subcircuit(
-            circuit, coi, prop.signals(), name=f"{circuit.name}.coi"
-        )
+        reduced = coi_model(circuit, prop.signals())
         encoding = SymbolicEncoding(reduced)
         encoding.bdd.auto_reorder = True
         images = ImageComputer(encoding)

@@ -11,7 +11,10 @@ scheme:
 - **Tseitin frame templates** (:func:`frame_template`) -- the one-frame
   CNF of a circuit with *local* variable numbering, instantiated per time
   frame by literal offsetting instead of re-walking the netlist,
-- **static BDD variable orders** (:func:`static_order`).
+- **static BDD variable orders** (:func:`static_order`),
+- **property-COI models** (:func:`coi_model`) -- the cone-of-influence
+  subcircuit that guided search, BMC and the BDD checkers all start
+  from, extracted once per design instead of once per call.
 
 Identity is two-level.  Within one :class:`Circuit` object, entries are
 keyed by the circuit's mutation ``generation`` (a stale entry is silently
@@ -34,6 +37,7 @@ from repro.kernel.compile import CompiledCircuit, compile_circuit_uncached
 from repro.kernel.perf import PERF
 from repro.netlist.cell import GateOp
 from repro.netlist.circuit import Circuit
+from repro.netlist.ops import coi_registers, extract_subcircuit
 from repro.sat.cnf import CNF
 
 # ----------------------------------------------------------------------
@@ -48,6 +52,7 @@ class _Entry:
         "frame_template",
         "fingerprint",
         "static_orders",
+        "coi_models",
     )
 
     def __init__(self, generation: int) -> None:
@@ -56,6 +61,7 @@ class _Entry:
         self.frame_template: Optional["FrameTemplate"] = None
         self.fingerprint: Optional[Tuple] = None
         self.static_orders: Dict[Tuple[str, ...], List[str]] = {}
+        self.coi_models: Dict[Tuple[str, ...], Circuit] = {}
 
 
 _ENTRIES: "weakref.WeakKeyDictionary[Circuit, _Entry]" = (
@@ -100,6 +106,25 @@ def fingerprint(circuit: Circuit) -> Tuple:
             ),
         )
     return entry.fingerprint
+
+
+def coi_model(circuit: Circuit, roots: Iterable[str]) -> Circuit:
+    """The cone-of-influence subcircuit of ``roots`` (every register in
+    their COI kept, named ``<circuit>.coi``), built once per circuit
+    generation.  Callers share the returned circuit and must not mutate
+    it."""
+    entry = _entry(circuit)
+    key = tuple(roots)
+    model = entry.coi_models.get(key)
+    if model is not None:
+        PERF.hit("coi_model")
+        return model
+    PERF.miss("coi_model")
+    model = extract_subcircuit(
+        circuit, coi_registers(circuit, key), key, name=f"{circuit.name}.coi"
+    )
+    entry.coi_models[key] = model
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -247,12 +272,15 @@ def solver_session(
     use_initial_state: bool = True,
     initial_state=None,
     tag: Tuple = (),
+    guarded: Iterable[str] = (),
 ):
     """The pooled incremental solver session for ``circuit``.
 
     Callers must express query-specific constraints as assumptions (or
     push/pop groups), never as permanent units: the session outlives the
     query and is shared by every engine asking for the same signature.
+    ``guarded`` registers get activation literals (refinement's union
+    model); the guarded set is part of the signature.
     """
     # Imported lazily: atpg.encode imports this module for its frame
     # templates, so the dependency cannot be top-level both ways.
@@ -263,7 +291,8 @@ def solver_session(
         if initial_state is None
         else tuple(sorted(initial_state.items()))
     )
-    key = (fingerprint(circuit), use_initial_state, init_key, tag)
+    guarded_key = tuple(sorted(set(guarded)))
+    key = (fingerprint(circuit), use_initial_state, init_key, tag, guarded_key)
     session = _SESSIONS.get(key)
     if session is not None:
         _SESSIONS.move_to_end(key)
@@ -276,6 +305,7 @@ def solver_session(
         cycles,
         use_initial_state=use_initial_state,
         initial_state=initial_state,
+        guarded=guarded_key,
     )
     _SESSIONS[key] = session
     while len(_SESSIONS) > _SESSION_LRU_SIZE:

@@ -19,12 +19,12 @@ from typing import Dict, List, Optional
 from repro.bdd import BDD
 from repro.bdd.manager import BDDNodeLimit
 from repro.core.property import UnreachabilityProperty
+from repro.kernel.scache import coi_model
 from repro.trace import Trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
 from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
 from repro.netlist.circuit import Circuit
-from repro.netlist.ops import coi_registers, extract_subcircuit
 
 
 class CheckOutcome(enum.Enum):
@@ -55,10 +55,8 @@ def model_check_coi(
     """Check an unreachability property on the COI-reduced design."""
     start = time.monotonic()
     prop.validate_against(circuit)
-    coi = coi_registers(circuit, prop.signals())
-    reduced = extract_subcircuit(
-        circuit, coi, prop.signals(), name=f"{circuit.name}.coi"
-    )
+    reduced = coi_model(circuit, prop.signals())
+    coi_count = reduced.num_registers
     manager = BDD()
     manager.auto_reorder = True
     if limits is not None and limits.max_nodes is not None:
@@ -73,7 +71,7 @@ def model_check_coi(
             CheckOutcome.RESOURCE_OUT,
             time.monotonic() - start,
             0,
-            len(coi),
+            coi_count,
         )
     result = forward_reach(
         images,
@@ -84,10 +82,10 @@ def model_check_coi(
     )
     elapsed = time.monotonic() - start
     if result.outcome is ReachOutcome.FIXPOINT:
-        return CheckResult(CheckOutcome.TRUE, elapsed, result.iterations, len(coi))
+        return CheckResult(CheckOutcome.TRUE, elapsed, result.iterations, coi_count)
     if result.outcome is ReachOutcome.RESOURCE_OUT:
         return CheckResult(
-            CheckOutcome.RESOURCE_OUT, elapsed, result.iterations, len(coi)
+            CheckOutcome.RESOURCE_OUT, elapsed, result.iterations, coi_count
         )
     trace = None
     if produce_trace:
@@ -96,7 +94,7 @@ def model_check_coi(
         CheckOutcome.FALSE,
         time.monotonic() - start,
         result.iterations,
-        len(coi),
+        coi_count,
         trace=trace,
     )
 

@@ -17,7 +17,11 @@ Cancellation protocol: workers are daemonic and write exactly one
 envelope to their pipe.  The parent polls with
 ``multiprocessing.connection.wait``; on a winner (or ``KeyboardInterrupt``)
 it terminates, joins and reaps every live worker in a ``finally`` block,
-so no orphan can outlive the call.
+so no orphan can outlive the call.  A worker that had already sent its
+envelope, or died on its own, by then is still reported: a dying child
+closes its pipe only after the kernel has torn down its address space,
+which can take longer than the winner needs to answer, so whether the
+poll saw it first is timing, not outcome.
 
 Determinism contract: every strategy is sound, so *which* strategy wins
 cannot change the verdict, only the latency.  Falsification witnesses
@@ -62,6 +66,32 @@ def _fork_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX
         return None
+
+
+def _death_envelope(strategy: str, proc) -> WorkerEnvelope:
+    """The ERROR envelope standing in for a worker that exited without
+    sending one (hard crash, kill -9); ``proc`` must be joined."""
+    return WorkerEnvelope(
+        strategy=strategy,
+        verdict=Verdict.ERROR,
+        detail=f"worker exited without a result (exitcode {proc.exitcode})",
+        pid=proc.pid,
+    )
+
+
+def _late_envelope(conn, proc, strategy: str) -> Optional[WorkerEnvelope]:
+    """What a worker the race is tearing down left behind: the envelope
+    it had already sent, an ERROR envelope if it died on its own (a
+    positive exit code, not the race's SIGTERM), or None when the
+    cancellation stopped it mid-run.  ``proc`` must be joined."""
+    try:
+        if conn.poll():
+            return conn.recv()
+    except (EOFError, OSError):
+        pass  # no complete envelope in the pipe
+    if proc.exitcode is not None and proc.exitcode > 0:
+        return _death_envelope(strategy, proc)
+    return None
 
 
 def canonical_witness(
@@ -265,6 +295,20 @@ def race(
             attrs={"strategy": strategy},
         )
 
+    def record(
+        envelope: WorkerEnvelope, proc, strategy: str, launched: float
+    ) -> None:
+        result.envelopes.append(envelope)
+        if envelope.perf:
+            PERF.merge(envelope.perf)
+        if obs.TRACER.enabled:
+            obs.TRACER.absorb(envelope.obs)
+            note_worker_span(proc, strategy, launched, envelope.verdict)
+        note(
+            f"[portfolio] {strategy}: {envelope.verdict} "
+            f"({envelope.detail}) in {envelope.seconds:.2f}s"
+        )
+
     try:
         while pending and len(running) < jobs:
             launch(pending.pop(0))
@@ -280,30 +324,11 @@ def race(
                     # The worker died without an envelope (hard crash,
                     # kill -9): degrade, don't raise.
                     proc.join()  # exitcode is only valid after the join
-                    envelope = WorkerEnvelope(
-                        strategy=strategy,
-                        verdict=Verdict.ERROR,
-                        detail=(
-                            f"worker exited without a result "
-                            f"(exitcode {proc.exitcode})"
-                        ),
-                        pid=proc.pid,
-                    )
+                    envelope = _death_envelope(strategy, proc)
                 finally:
                     conn.close()
                 proc.join()
-                result.envelopes.append(envelope)
-                if envelope.perf:
-                    PERF.merge(envelope.perf)
-                if obs.TRACER.enabled:
-                    obs.TRACER.absorb(envelope.obs)
-                    note_worker_span(
-                        proc, strategy, launched, envelope.verdict
-                    )
-                note(
-                    f"[portfolio] {strategy}: {envelope.verdict} "
-                    f"({envelope.detail}) in {envelope.seconds:.2f}s"
-                )
+                record(envelope, proc, strategy, launched)
                 if envelope.definite and winning is None:
                     winning = envelope
                 elif pending:
@@ -319,8 +344,11 @@ def race(
             if proc.is_alive():  # pragma: no cover - stuck in a syscall
                 proc.kill()
                 proc.join(timeout=5.0)
+            late = _late_envelope(conn, proc, strategy)
             conn.close()
-            if obs.TRACER.enabled:
+            if late is not None:
+                record(late, proc, strategy, launched)
+            elif obs.TRACER.enabled:
                 note_worker_span(proc, strategy, launched, "cancelled")
         running.clear()
 

@@ -146,18 +146,54 @@ class Solver:
     def absorb(self) -> int:
         """Add every clause of the attached CNF not yet in the solver;
         returns how many were absorbed.  Clauses land in the innermost
-        open activation group, if any."""
+        open activation group, if any.
+
+        The load is one inlined pass: :class:`CNF` clauses are already
+        deduplicated and tautology-free, so a clause of two or more
+        literals none of which is assigned at level 0 is attached
+        directly.  Every other clause (units, empty clauses, clauses
+        touching a level-0 assignment, clauses joining an open group)
+        goes through :meth:`add_clause` at the same point in the
+        sequence, so the clause order, watch lists, trail and heap end
+        up exactly as per-clause ``add_clause`` calls leave them."""
         cnf = self._attached
         if cnf is None:
             raise RuntimeError("no CNF attached (call attach first)")
         start = self._absorbed
+        pending = cnf.clauses_since(start)
+        if pending and self._trail_lim:
+            raise RuntimeError("absorb only permitted at decision level 0")
         self._absorbed = len(cnf.clauses)
         while self._nvars < cnf.num_vars:
             self.new_var()
-        for clause in cnf.clauses_since(start):
+        if self._unsat:
+            return self._absorbed - start
+        value = self._value
+        watches = self._watches
+        problem = self._clauses
+        direct = not self._groups
+        for clause in pending:
+            if direct and len(clause) > 1:
+                for lit in clause:
+                    if value[lit if lit > 0 else -lit] != UNASSIGNED:
+                        break
+                else:
+                    attached = _Clause(clause[:])
+                    problem.append(attached)
+                    watchers = watches.get(clause[0])
+                    if watchers is None:
+                        watches[clause[0]] = [attached]
+                    else:
+                        watchers.append(attached)
+                    watchers = watches.get(clause[1])
+                    if watchers is None:
+                        watches[clause[1]] = [attached]
+                    else:
+                        watchers.append(attached)
+                    continue
+            self.add_clause(clause)
             if self._unsat:
                 break
-            self.add_clause(clause)
         return self._absorbed - start
 
     def push(self) -> int:

@@ -153,11 +153,9 @@ class TestPhase2Minimization:
             inputs=[{"r4": 1}, {}],
         )
         monkeypatch.setattr(
-            refine_mod,
-            "trace_satisfiable_on",
-            lambda model, trace, budget=None, incremental=True: (
-                AtpgOutcome.ABORTED
-            ),
+            refine_mod.CandidateProbe,
+            "outcome",
+            lambda self, registers: AtpgOutcome.ABORTED,
         )
         result = refine_mod.minimize_candidates(
             abstraction, trace, ["r1", "r4"]
