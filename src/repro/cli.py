@@ -1014,7 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
         "of them (e.g. tests/corpus)",
     )
     p_batch.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (one instance each)")
+                         help="worker processes (forked once per batch, "
+                         "each running one instance after another)")
     p_batch.add_argument(
         "--strategies",
         help="comma-separated portfolio strategies per instance "

@@ -280,8 +280,8 @@ def _run_sharded(
     instance_seconds: Optional[float],
     jobs: int,
 ) -> CampaignResult:
-    """The ``jobs >= 2`` campaign body: one forked worker per instance,
-    merged back in seed order (see ``run_campaign``)."""
+    """The ``jobs >= 2`` campaign body: instances sharded across warm
+    forked workers, merged back in seed order (see ``run_campaign``)."""
     from repro.parallel.shard import SKIPPED, ShardError, shard_map
 
     def one_instance(instance_seed: int) -> dict:

@@ -319,8 +319,8 @@ def solver_session(
 
 
 def clear_caches() -> None:
-    """Drop every cached entry (benchmarking and tests: forces the next
-    query to take the cold path)."""
+    """Drop every cached entry: forces the next query to take the cold
+    path (benchmarks, tests, and each item of a warm shard worker)."""
     _ENTRIES.clear()
     _TEMPLATES_BY_FP.clear()
     _SESSIONS.clear()

@@ -13,8 +13,8 @@ Strategies are engines resolved by name from
 :data:`repro.engine.registry`; verdicts are the canonical
 :class:`repro.engine.Verdict`.  Both entry points degrade to in-process
 sequential execution when ``jobs <= 1`` or the platform lacks the
-``fork`` start method, so every caller can treat parallelism as a pure
-go-faster knob.  See DESIGN.md section 11 for the pool lifecycle,
+``fork`` start method, so every caller can treat parallelism as
+optional.  See DESIGN.md section 11 for the pool lifecycle,
 budget-slicing and determinism contract.
 """
 

@@ -1,66 +1,103 @@
-"""Ordered sharded map over forked workers.
+"""Ordered sharded map over a pool of warm forked workers.
 
 ``shard_map`` is the parallel primitive behind ``repro fuzz --jobs`` and
 ``repro batch``: apply ``fn`` to every item, at most ``jobs`` at a time,
-each item in its own forked process, and return results **in item
-order** regardless of completion order.  That ordering rule is what
-keeps sharded runs byte-comparable with sequential ones: downstream
-consumers (campaign merging, batch reports) never observe scheduling.
+and return results **in item order** regardless of completion order.
+That ordering rule is what keeps sharded runs byte-comparable with
+sequential ones: downstream consumers (campaign merging, batch reports)
+never observe scheduling.
 
-Item isolation is total -- a segfaulting or OOM-killed item surfaces as
-a :class:`ShardError` entry in its own slot, not a dead pool.  With
-``jobs <= 1``, a single item, or no ``fork`` start method, the map runs
-in-process (plain loop), so callers treat parallelism as optional.
+Workers are forked once per call, ``min(jobs, len(items))`` of them,
+after ``items`` is materialized, so each one already holds ``fn`` and
+every item (the ``fork`` start method: ``fn`` may be a closure over
+in-memory data, nothing of it is pickled).  The parent sends a worker an
+item index over a duplex pipe, reads back one ``(status, value, trace
+records)`` reply, and hands that worker the next index.  A worker
+therefore pays the fork and its page faults once per map, not once per
+item.
+
+Isolation stays per item.  An exception in ``fn``, or a value that
+cannot be pickled, becomes a :class:`ShardError` in that item's slot and
+the same worker takes the next item.  A worker that dies mid-item
+(segfault, OOM kill, ``os._exit``) becomes a :class:`ShardError` carrying
+its exit code in the slot of the item it held, and a freshly forked
+replacement takes the remaining items.  Each item starts from empty
+``kernel.scache`` caches, so its work and its cache counts do not depend
+on which items its worker ran before; what does carry over is the
+lazily filled engine registry, the imported modules and the process's
+peak RSS.  With ``jobs <= 1``, a single item, or no ``fork`` start
+method, the map runs in-process (plain loop), so callers treat
+parallelism as optional.
 
 A ``deadline`` (absolute ``time.monotonic()`` instant) stops the map
-early: running workers past the deadline are cancelled and their slots
--- plus all unlaunched ones -- are filled with ``skipped``.  On
-``KeyboardInterrupt`` every worker is terminated and joined before the
-interrupt propagates, so Ctrl-C never leaks processes.
+early: busy workers are cancelled and their slots -- plus all
+unlaunched ones -- read ``skipped``.  On every exit, ``KeyboardInterrupt``
+included, idle workers are told to stop and busy ones are terminated,
+joined and if need be killed, so Ctrl-C never leaks processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
-from typing import Callable, List, Optional, Sequence
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.kernel.scache import clear_caches
 from repro.obs import tracer as obs
 
 
 class ShardError(RuntimeError):
-    """An item's worker raised (or died); carries the child traceback."""
+    """An item raised, its value could not be sent, or its worker died;
+    carries the worker's traceback or exit code."""
 
 
 #: Slot marker for items never run because the deadline hit first.
 SKIPPED = "skipped"
 
 
-def _child_main(conn, fn, item) -> None:
+def _worker_main(
+    conn: Connection, fn: Callable, items: List, parent_ends: List[Connection]
+) -> None:
+    """One warm worker: run each item index the parent sends until it
+    sends ``None`` or is gone."""
     obs.TRACER.fork_child()
-
-    def trace_records() -> list:
-        return obs.TRACER.drain() if obs.TRACER.enabled else []
-
-    try:
-        with obs.span("shard.item"):
-            value = fn(item)
-        conn.send(("ok", value, trace_records()))
-    except Exception as error:
+    # Drop the inherited copies of the parent's pipe ends, this worker's
+    # own included, so that the parent's death reads here as EOF.
+    for end in parent_ends:
+        end.close()
+    while True:
         try:
-            conn.send(
-                (
-                    "error",
-                    f"{error}\n{traceback.format_exc()}",
-                    trace_records(),
-                )
-            )
-        except Exception:  # unpicklable error detail: ship text only
-            conn.send(("error", traceback.format_exc(), trace_records()))
-    finally:
-        conn.close()
+            index = conn.recv()
+        except EOFError:
+            return
+        if index is None:
+            return
+        # Every item starts from empty kernel caches, as it would in a
+        # fork of its own: what an item costs and counts never depends
+        # on which items this worker happened to run before it.
+        clear_caches()
+        try:
+            with obs.span("shard.item"):
+                reply = ("ok", fn(items[index]))
+        except Exception as error:
+            reply = ("error", f"{error}\n{traceback.format_exc()}")
+        records = obs.TRACER.drain() if obs.TRACER.enabled else []
+        try:
+            conn.send(reply + (records,))
+        except OSError:  # the parent is gone
+            return
+        except Exception as error:  # the value does not pickle
+            conn.send((
+                "error",
+                f"result of item {index} cannot be sent: {error}\n"
+                f"{traceback.format_exc()}",
+                records,
+            ))
 
 
 def _run_inline(
@@ -86,9 +123,10 @@ def shard_map(
     """Ordered parallel map (see module docstring).
 
     Each result slot holds the item's return value, a :class:`ShardError`
-    (worker raised or died), or the :data:`SKIPPED` marker (deadline).
-    Errors are returned, not raised, so one bad item cannot hide the
-    other shards' results; callers decide whether to re-raise.
+    (the item raised, its value did not pickle, or its worker died), or
+    the :data:`SKIPPED` marker (deadline).  Errors are returned, not
+    raised, so one bad item cannot hide the other shards' results;
+    callers decide whether to re-raise.
     """
     items = list(items)
     try:
@@ -100,68 +138,86 @@ def shard_map(
 
     results: List = [SKIPPED] * len(items)
     next_index = 0
-    running = {}  # conn -> (process, item index)
+    # conn -> (worker, index of the item it holds)
+    busy: Dict[Connection, Tuple[BaseProcess, int]] = {}
+    # (worker, conn) of workers left with nothing to run
+    idle: List[Tuple[BaseProcess, Connection]] = []
 
     def note(message: str) -> None:
         if log is not None:
             log(message)
 
-    def launch() -> None:
-        nonlocal next_index
-        index = next_index
-        next_index += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def more() -> bool:
+        return next_index < len(items) and (
+            deadline is None or time.monotonic() < deadline
+        )
+
+    def fork_worker() -> Tuple[BaseProcess, Connection]:
+        parent_conn, child_conn = ctx.Pipe()
+        parent_ends = [parent_conn, *busy, *(end for _, end in idle)]
         proc = ctx.Process(
-            target=_child_main,
-            args=(child_conn, fn, items[index]),
-            name=f"shard-{index}",
+            target=_worker_main,
+            args=(child_conn, fn, items, parent_ends),
+            name="shard-worker",
             daemon=True,
         )
         proc.start()
-        child_conn.close()
-        running[parent_conn] = (proc, index)
+        child_conn.close()  # the worker owns its end now
+        return proc, parent_conn
+
+    def hand_out(proc: BaseProcess, conn: Connection) -> None:
+        nonlocal next_index
+        if not more():
+            idle.append((proc, conn))
+            return
+        busy[conn] = (proc, next_index)
+        # A worker that died since its last reply reads as EOF below,
+        # in the slot of the item it was handed.
+        with contextlib.suppress(OSError):
+            conn.send(next_index)
+        next_index += 1
 
     try:
-        while next_index < len(items) and len(running) < jobs:
-            launch()
-        while running:
+        for _ in range(min(jobs, len(items))):
+            hand_out(*fork_worker())
+        while busy:
             if deadline is not None and time.monotonic() >= deadline:
-                note(f"[shard] deadline hit with {len(running)} running")
+                note(f"[shard] deadline hit with {len(busy)} running")
                 break
             ready = multiprocessing.connection.wait(
-                list(running), timeout=poll_seconds
+                list(busy), timeout=poll_seconds
             )
             for conn in ready:
-                proc, index = running.pop(conn)
+                proc, index = busy.pop(conn)
                 try:
-                    message = conn.recv()
-                    status, payload = message[0], message[1]
-                    if len(message) > 2:
-                        obs.TRACER.absorb(message[2])
+                    status, payload, records = conn.recv()
                 except (EOFError, OSError):
                     proc.join()  # exitcode is only valid after the join
-                    status, payload = "error", (
+                    conn.close()
+                    results[index] = ShardError(
                         f"shard worker for item {index} died "
                         f"(exitcode {proc.exitcode})"
                     )
-                finally:
-                    conn.close()
-                proc.join()
+                    if more():
+                        hand_out(*fork_worker())
+                    continue
+                obs.TRACER.absorb(records)
                 results[index] = (
                     payload if status == "ok" else ShardError(payload)
                 )
-                if next_index < len(items) and (
-                    deadline is None or time.monotonic() < deadline
-                ):
-                    launch()
+                hand_out(proc, conn)
     finally:
-        for conn, (proc, _index) in list(running.items()):
-            if proc.is_alive():
-                proc.terminate()
+        for proc, conn in idle:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+        for proc, _index in busy.values():
+            proc.terminate()
+        for proc, conn in idle + [
+            (proc, conn) for conn, (proc, _index) in busy.items()
+        ]:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - stuck in a syscall
                 proc.kill()
                 proc.join(timeout=5.0)
             conn.close()
-        running.clear()
     return results

@@ -12,16 +12,19 @@ Three layers of guarantees, in rough order of importance:
    the race itself never raises, and memory aborts record the RSS
    watermark for post-mortems.
 3. **Teardown** -- the first definite verdict cancels every loser, and a
-   ``KeyboardInterrupt`` mid-race reaps all worker processes before
-   propagating (checked end-to-end through a real subprocess + SIGINT).
+   ``KeyboardInterrupt`` mid-race or mid-``shard_map`` reaps all worker
+   processes before propagating (checked end-to-end through a real
+   subprocess + SIGINT).
 """
 
+import contextlib
 import os
 import pickle
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -169,13 +172,24 @@ def test_chaos_timeout_in_one_worker_is_contained(jobs):
 
 
 def test_chaos_garbage_verdict_is_contained():
+    """A forked worker's garbage verdict comes back UNKNOWN with an
+    injected abort.  bdd races alone: in the full race another strategy
+    may answer first and cancel bdd before it reports."""
+    circuit, prop = toggle_design()
+    chaos = ChaosMonkey.parse("bdd=garbage")
+    result = race(circuit, prop, strategies=("bdd",), jobs=2, chaos=chaos)
+    assert result.verdict is Verdict.UNKNOWN
+    bdd = result.envelope_of("bdd")
+    assert bdd.pid != os.getpid()
+    assert bdd.verdict is Verdict.UNKNOWN
+    assert bdd.abort is not None and bdd.abort.injected
+
+
+def test_chaos_garbage_verdict_does_not_decide_the_race():
     circuit, prop = toggle_design()
     chaos = ChaosMonkey.parse("bdd=garbage")
     result = race(circuit, prop, jobs=2, chaos=chaos)
     assert result.verified
-    bdd = result.envelope_of("bdd")
-    assert bdd.verdict is Verdict.UNKNOWN
-    assert bdd.abort is not None and bdd.abort.injected
 
 
 def test_strategy_crash_degrades_to_error_envelope():
@@ -354,6 +368,124 @@ def test_shard_map_worker_death_is_a_shard_error():
     assert results[1] == 1
 
 
+def test_shard_map_reuses_forked_workers():
+    pids = shard_map(lambda item: os.getpid(), list(range(8)), jobs=2)
+    assert os.getpid() not in pids
+    assert len(set(pids)) <= 2
+
+
+@pytest.mark.parametrize(
+    "dying", [{1}, {0, 1}], ids=["item1", "items0and1"]
+)
+def test_shard_map_replaces_a_dead_worker(dying):
+    """With ``{0, 1}`` both first workers die on their first item, so
+    items 2-5 run only if each death forks a replacement."""
+
+    def work(item):
+        if item in dying:
+            os._exit(3)
+        return item
+
+    results = shard_map(work, list(range(6)), jobs=2)
+    for index, result in enumerate(results):
+        if index in dying:
+            assert isinstance(result, ShardError)
+            assert "exitcode 3" in str(result)
+        else:
+            assert result == index
+
+
+def test_shard_map_exception_keeps_the_worker():
+    # Items 0 and 1 are the first items of the two workers.
+    def work(item):
+        if item < 2:
+            raise ValueError(f"poison in pid {os.getpid()}")
+        return os.getpid()
+
+    results = shard_map(work, list(range(6)), jobs=2)
+    raised_in = {
+        int(re.search(r"poison in pid (\d+)", str(error)).group(1))
+        for error in results[:2]
+    }
+    assert set(results[2:]) <= raised_in
+
+
+def test_shard_map_items_start_from_empty_kernel_caches():
+    """Every item builds the same frame template, yet none finds it
+    cached: not from an earlier item in its worker, nor from this
+    process, whose caches each worker inherits."""
+    from repro.kernel.scache import frame_template
+
+    circuit, _prop = toggle_design()
+    frame_template(circuit)
+
+    def hits():
+        caches = PERF.snapshot()["caches"]
+        return caches.get("frame_template", {}).get("hits", 0)
+
+    def work(item):
+        before = hits()
+        frame_template(circuit)
+        return hits() - before
+
+    assert shard_map(work, list(range(6)), jobs=2) == [0] * 6
+
+
+def test_shard_map_unpicklable_result_stays_in_its_slot():
+    def work(item):
+        return threading.Lock() if item == 1 else item
+
+    results = shard_map(work, [0, 1, 2, 3], jobs=2)
+    assert isinstance(results[1], ShardError)
+    assert "cannot be sent" in str(results[1])
+    assert [results[index] for index in (0, 2, 3)] == [0, 2, 3]
+
+
+def test_shard_map_more_workers_than_cores():
+    jobs = (os.cpu_count() or 1) + 2
+    start = time.monotonic()
+    results = shard_map(lambda item: item * item, list(range(200)), jobs=jobs)
+    assert results == [item * item for item in range(200)]
+    assert time.monotonic() - start < 20.0
+
+
+def test_batch_report_does_not_depend_on_jobs(tmp_path):
+    """``repro batch --jobs 2`` and ``--jobs 1`` agree on every instance
+    of a 40-instance generated corpus, timings and worker pids aside."""
+    import json
+
+    from repro.cli import main
+    from repro.fuzz.shrink import save_reproducer
+
+    corpus = tmp_path / "corpus"
+    for seed in range(40):
+        save_reproducer(
+            generate_instance(seed), str(corpus), stem=f"i{seed:02d}"
+        )
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {
+                k: strip(v) for k, v in obj.items()
+                if k not in ("seconds", "rss_mb", "pid")
+            }
+        if isinstance(obj, list):
+            return [strip(v) for v in obj]
+        return obj
+
+    outcomes = []
+    for jobs in (1, 2):
+        report = tmp_path / f"jobs{jobs}.json"
+        code = main(["batch", str(corpus), "--jobs", str(jobs),
+                     "--report", str(report)])
+        payload = json.loads(report.read_text())
+        assert payload.pop("jobs") == jobs
+        outcomes.append((code, strip(payload)))
+    assert outcomes[0] == outcomes[1]
+    counts = outcomes[0][1]["verdict_counts"]
+    assert counts.get("verified") and counts.get("falsified"), counts
+
+
 # --------------------------------------------------------------------
 # Sharded fuzz campaigns
 # --------------------------------------------------------------------
@@ -441,12 +573,13 @@ print("RACE-DONE", flush=True)
 """
 
 
-def test_keyboard_interrupt_reaps_all_workers():
+def _pids_after_signal(script, sig):
+    """Run ``script`` in a subprocess, wait until it has printed two
+    distinct ``worker <pid>`` lines, send it ``sig`` and collect it.
+    Returns (return code, stdout, the two worker pids)."""
     src = os.path.join(os.path.dirname(repro.__file__), os.pardir)
     child = subprocess.Popen(
-        [sys.executable, "-c", _INTERRUPT_CHILD.format(
-            src=os.path.abspath(src)
-        )],
+        [sys.executable, "-c", script.format(src=os.path.abspath(src))],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -456,19 +589,57 @@ def test_keyboard_interrupt_reaps_all_workers():
         deadline = time.monotonic() + 30.0
         while len(pids) < 2 and time.monotonic() < deadline:
             line = child.stdout.readline()
-            assert line, "race process exited before launching workers"
-            match = re.search(r"worker (\d+) racing", line)
-            if match:
+            assert line, "process exited before launching workers"
+            match = re.search(r"worker (\d+)", line)
+            if match and int(match.group(1)) not in pids:
                 pids.append(int(match.group(1)))
         assert len(pids) == 2, f"never saw both workers: {pids}"
-        child.send_signal(signal.SIGINT)
-        out, _ = child.communicate(timeout=20.0)
+        child.send_signal(sig)
+        try:
+            out, _ = child.communicate(timeout=20.0)
+        except subprocess.TimeoutExpired:
+            # Workers that outlived their parent hold its stdout open;
+            # kill them so that the failing test leaks nothing.
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            raise
     finally:
         if child.poll() is None:  # pragma: no cover - cleanup path
             child.kill()
             child.communicate()
+    return child.returncode, out, pids
 
-    assert child.returncode != 0
+
+def _running(pid):
+    """Whether ``pid`` still runs.  An orphan that has exited stays a
+    zombie until its reaper collects it, which some init processes never
+    do; a zombie does not run."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _surviving(pids, seconds=5.0):
+    """The ``pids`` still running after up to ``seconds``; any found are
+    killed before returning, so a failing check leaks nothing."""
+    deadline = time.monotonic() + seconds
+    remaining = set(pids)
+    while remaining and time.monotonic() < deadline:
+        remaining = {pid for pid in remaining if _running(pid)}
+        if remaining:
+            time.sleep(0.1)
+    for pid in remaining:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    return remaining
+
+
+def test_keyboard_interrupt_reaps_all_workers():
+    code, out, pids = _pids_after_signal(_INTERRUPT_CHILD, signal.SIGINT)
+    assert code != 0
     assert "RACE-DONE" not in out
     # The workers must be gone (reaped by the race's finally block).
     deadline = time.monotonic() + 5.0
@@ -482,3 +653,40 @@ def test_keyboard_interrupt_reaps_all_workers():
         if remaining:
             time.sleep(0.1)
     assert not remaining, f"orphaned portfolio workers: {remaining}"
+
+
+_SHARD_CHILD = """
+import os
+import sys
+import time
+sys.path.insert(0, {src!r})
+from repro.parallel.shard import shard_map
+
+def work(item):
+    print(f"worker {{os.getpid()}} took item {{item}}", flush=True)
+    time.sleep(ITEM_SECONDS)
+    return item
+
+shard_map(work, list(range(100)), jobs=2)
+print("MAP-DONE", flush=True)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
+)
+@pytest.mark.parametrize(
+    "sig, item_seconds",
+    [(signal.SIGINT, 120.0), (signal.SIGKILL, 0.3)],
+    ids=["SIGINT", "SIGKILL"],
+)
+def test_shard_map_leaves_no_orphans(sig, item_seconds):
+    """SIGINT: the map's finally block terminates both busy workers.
+    SIGKILL: nothing runs in the parent, so each worker finishes its
+    item, finds its pipe closed and exits."""
+    script = _SHARD_CHILD.replace("ITEM_SECONDS", repr(item_seconds))
+    code, out, pids = _pids_after_signal(script, sig)
+    assert code != 0
+    assert "MAP-DONE" not in out
+    remaining = _surviving(pids)
+    assert not remaining, f"orphaned shard workers: {remaining}"
