@@ -8,11 +8,14 @@ loop runs the full depth range -- the worst case for re-encoding):
 - **picojava_iu**: one IU unit's FSM driven past its legal phase count
   (state 15 with ``num_states = 10``), whose COI drags in the datapath.
 
-The monolithic mode rebuilds the unrolling and a fresh solver at every
-depth (O(k^2) total encoding work to reach depth k); the incremental
-mode keeps one pooled solver session, appends only the new frame's
-clauses and asserts ``bad@k`` through assumptions, inheriting all
-learned clauses.  Emits ``benchmarks/out/bmc_incremental.json`` and is
+The monolithic mode is the per-depth re-encode baseline defined here
+(:func:`monolithic_bmc`): it rebuilds the unrolling and a fresh solver
+at every depth (O(k^2) total encoding work to reach depth k).  The
+incremental mode is :func:`repro.mc.bmc.bmc`, which keeps one pooled
+solver session, appends only the new frame's clauses and asserts
+``bad@k`` through assumptions, inheriting all learned clauses.  Both
+run the bounded loop only (``induction=False``).  Emits
+``benchmarks/out/bmc_incremental.json`` and is
 the gate behind CI's ``bench-incremental-smoke`` job: incremental must
 beat monolithic at depth >= 16 and by >= 3x at depth 32.
 
@@ -25,12 +28,14 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.atpg.encode import Unroller
 from repro.core.property import UnreachabilityProperty
 from repro.designs import IuParams, build_iu
 from repro.designs.counters import saturating_counter
 from repro.kernel.perf import PERF
-from repro.kernel.scache import clear_caches
-from repro.mc.bmc import bmc
+from repro.kernel.scache import clear_caches, coi_model
+from repro.mc.bmc import BmcOutcome, bmc
+from repro.sat.solver import SatStatus, Solver
 
 from reporting import emit_json, emit_table
 
@@ -48,37 +53,52 @@ def _workloads():
     return [("counter", counter, counter_prop), ("picojava_iu", iu, iu_prop)]
 
 
-def _timed_run(circuit, prop, depth: int, incremental: bool):
+def monolithic_bmc(circuit, prop, max_depth: int) -> BmcOutcome:
+    """The per-depth re-encode baseline of the bounded loop: a fresh
+    unrolling of the property's COI and a fresh solver at every depth,
+    ``bad@k`` asserted as units."""
+    model = coi_model(circuit, prop.signals())
+    for depth in range(max_depth + 1):
+        unroller = Unroller(model, depth + 1, use_initial_state=True)
+        for name, value in prop.target.items():
+            unroller.cnf.add_unit(unroller.lit(name, depth, value))
+        if Solver(unroller.cnf).solve().status is SatStatus.SAT:
+            return BmcOutcome.FALSE
+    return BmcOutcome.UNKNOWN
+
+
+def _timed_run(run):
     clear_caches()
     PERF.reset()
     start = time.perf_counter()
-    result = bmc(
-        circuit,
-        prop,
-        max_depth=depth,
-        max_conflicts=None,
-        induction=False,
-        incremental=incremental,
-    )
-    elapsed = time.perf_counter() - start
-    return result, elapsed
+    outcome = run()
+    return outcome, time.perf_counter() - start
 
 
 def run_benchmark() -> dict:
     runs = []
     for name, circuit, prop in _workloads():
         for depth in DEPTHS:
-            mono, mono_s = _timed_run(circuit, prop, depth, False)
-            incr, incr_s = _timed_run(circuit, prop, depth, True)
+            mono, mono_s = _timed_run(
+                lambda: monolithic_bmc(circuit, prop, depth)
+            )
+            incr, incr_s = _timed_run(
+                lambda: bmc(
+                    circuit,
+                    prop,
+                    max_depth=depth,
+                    max_conflicts=None,
+                    induction=False,
+                ).outcome
+            )
             counters = PERF.snapshot()["counters"]
-            assert incr.outcome == mono.outcome, (
-                f"{name}@{depth}: incremental {incr.outcome} != "
-                f"monolithic {mono.outcome}"
+            assert incr == mono, (
+                f"{name}@{depth}: incremental {incr} != monolithic {mono}"
             )
             runs.append({
                 "design": name,
                 "depth": depth,
-                "outcome": incr.outcome.value,
+                "outcome": incr.value,
                 "monolithic_seconds": round(mono_s, 4),
                 "incremental_seconds": round(incr_s, 4),
                 "speedup": round(mono_s / incr_s, 2) if incr_s else 0.0,

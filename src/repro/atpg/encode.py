@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 from repro.kernel.perf import PERF
 from repro.kernel.scache import frame_template
 from repro.netlist.circuit import Circuit
+from repro.obs import tracer as obs
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatResult, Solver
 
@@ -76,7 +77,7 @@ class Unroller:
                 raise ValueError(f"{name!r} is not a register output")
             if name not in self.activation:
                 self.activation[name] = self.cnf.new_var(f"{name}$active")
-        with PERF.timed("kernel.unroll"):
+        with obs.span("kernel.unroll"):
             for frame in range(cycles):
                 self._append_frame(frame)
         if initial_state is not None:
@@ -120,7 +121,7 @@ class Unroller:
         if cycles <= self.cycles:
             return 0
         appended = cycles - self.cycles
-        with PERF.timed("kernel.unroll"):
+        with obs.span("kernel.unroll"):
             for frame in range(self.cycles, cycles):
                 self._append_frame(frame)
         self.cycles = cycles

@@ -6,13 +6,12 @@ circuit into CNF and running the budgeted CDCL solver.  Sequential results
 are replayed on the kernel simulator before being returned, so an
 encoder bug can never masquerade as a verification result.
 
-By default both engines run *incrementally*: the unrolling and solver
-come from the :func:`repro.kernel.scache.solver_session` pool, target and
+Both engines run *incrementally*: the unrolling and solver come from
+the :func:`repro.kernel.scache.solver_session` pool, target and
 constraint cubes are asserted through assumptions rather than permanent
 units, and learned clauses carry over between ATPG targets on the same
 circuit -- and across the BMC and CEGAR callers that share the session
-signature.  ``incremental=False`` restores the historical
-fresh-solver-per-call behavior.
+signature.
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.atpg.encode import Unroller
 from repro.kernel.bitsim import BitParallelSimulator, pack_value
 from repro.kernel.perf import PERF
 from repro.kernel.scache import solver_session
 from repro.obs import tracer as obs
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
-from repro.sat.solver import SatStatus, Solver
+from repro.sat.solver import SatStatus
 
 
 class AtpgOutcome(enum.Enum):
@@ -125,7 +123,6 @@ def sequential_atpg(
     budget: Optional[AtpgBudget] = None,
     skip_missing: bool = False,
     verify: bool = True,
-    incremental: bool = True,
 ) -> AtpgResult:
     """Search for a ``cycles``-cycle trace satisfying per-cycle cubes.
 
@@ -135,9 +132,7 @@ def sequential_atpg(
     used when replaying an abstract-model trace on a differently-sized
     subcircuit.
     """
-    with obs.span(
-        "atpg.sequential", cycles=cycles, incremental=incremental
-    ) as phase:
+    with obs.span("atpg.sequential", cycles=cycles) as phase:
         result = _sequential_atpg(
             circuit,
             cycles,
@@ -147,7 +142,6 @@ def sequential_atpg(
             budget=budget,
             skip_missing=skip_missing,
             verify=verify,
-            incremental=incremental,
         )
         phase.set(
             result=result.outcome.value,
@@ -168,25 +162,15 @@ def _sequential_atpg(
     budget: Optional[AtpgBudget] = None,
     skip_missing: bool = False,
     verify: bool = True,
-    incremental: bool = True,
 ) -> AtpgResult:
+    session = solver_session(
+        circuit,
+        cycles,
+        use_initial_state=use_initial_state,
+        initial_state=initial_state,
+    )
+    unroller = session.unroller
     assumptions: List[int] = []
-    if incremental:
-        session = solver_session(
-            circuit,
-            cycles,
-            use_initial_state=use_initial_state,
-            initial_state=initial_state,
-        )
-        unroller = session.unroller
-    else:
-        session = None
-        unroller = Unroller(
-            circuit,
-            cycles,
-            use_initial_state=use_initial_state,
-            initial_state=initial_state,
-        )
     cube_map = _normalize_cubes(cubes, cycles)
     for cycle, cube in cube_map.items():
         for name, value in cube.items():
@@ -197,16 +181,9 @@ def _sequential_atpg(
                     f"cube signal {name!r} not in circuit "
                     f"{circuit.name!r}"
                 )
-            lit = unroller.lit(name, cycle, value)
-            if session is not None:
-                assumptions.append(lit)
-            else:
-                unroller.cnf.add_unit(lit)
+            assumptions.append(unroller.lit(name, cycle, value))
     budget = budget or AtpgBudget()
-    if session is not None:
-        result = session.solve(assumptions, **budget.solve_kwargs())
-    else:
-        result = Solver(unroller.cnf).solve(**budget.solve_kwargs())
+    result = session.solve(assumptions, **budget.solve_kwargs())
     if result.status is SatStatus.UNSAT:
         return AtpgResult(
             AtpgOutcome.UNSATISFIABLE,
@@ -241,7 +218,6 @@ def combinational_atpg(
     constraints: Iterable[Mapping[str, int]] = (),
     *,
     budget: Optional[AtpgBudget] = None,
-    incremental: bool = True,
 ) -> AtpgResult:
     """One-time-frame ATPG with a free state: justify ``target`` plus all
     ``constraints`` cubes over a single combinational frame.
@@ -252,13 +228,12 @@ def combinational_atpg(
     hybrid engine uses this to extend a min-cut cube to a no-cut cube
     (Section 2.2).
     """
-    with obs.span("atpg.combinational", incremental=incremental) as phase:
+    with obs.span("atpg.combinational") as phase:
         result = _combinational_atpg(
             circuit,
             target,
             constraints,
             budget=budget,
-            incremental=incremental,
         )
         phase.set(
             result=result.outcome.value,
@@ -275,24 +250,16 @@ def _combinational_atpg(
     constraints: Iterable[Mapping[str, int]] = (),
     *,
     budget: Optional[AtpgBudget] = None,
-    incremental: bool = True,
 ) -> AtpgResult:
     budget = budget or AtpgBudget()
-    if incremental:
-        session = solver_session(circuit, 1, use_initial_state=False)
-        unroller = session.unroller
-        assumptions = [
-            unroller.lit(name, 0, value)
-            for cube in list(constraints) + [dict(target)]
-            for name, value in cube.items()
-        ]
-        result = session.solve(assumptions, **budget.solve_kwargs())
-    else:
-        unroller = Unroller(circuit, 1, use_initial_state=False)
-        for cube in list(constraints) + [dict(target)]:
-            for name, value in cube.items():
-                unroller.cnf.add_unit(unroller.lit(name, 0, value))
-        result = Solver(unroller.cnf).solve(**budget.solve_kwargs())
+    session = solver_session(circuit, 1, use_initial_state=False)
+    unroller = session.unroller
+    assumptions = [
+        unroller.lit(name, 0, value)
+        for cube in list(constraints) + [dict(target)]
+        for name, value in cube.items()
+    ]
+    result = session.solve(assumptions, **budget.solve_kwargs())
     if result.status is SatStatus.UNSAT:
         return AtpgResult(
             AtpgOutcome.UNSATISFIABLE,

@@ -228,7 +228,6 @@ def cmd_verify(args) -> int:
             max_depth=args.max_depth,
             max_seconds=args.timeout,
             unique_states=args.unique_states,
-            incremental=not args.no_incremental,
         )
         extra = (
             f" (k-induction at depth {result.induction_depth})"
@@ -338,7 +337,6 @@ def cmd_verify(args) -> int:
             budget=budget,
             chaos=chaos,
             checkpoint_path=checkpoint_path,
-            incremental=not args.no_incremental,
             parallel=args.jobs,
         )
         _PARTIAL.update(
@@ -924,11 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--max-depth", type=int, default=32,
                           help="BMC unrolling bound")
-    p_verify.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the pooled incremental SAT sessions (fresh solver "
-             "per query; escape hatch for debugging solver-state issues)",
-    )
     p_verify.add_argument("--unique-states", action="store_true",
                           help="BMC: simple-path induction constraints")
     p_verify.add_argument("--vcd", help="write the error trace as VCD")

@@ -38,7 +38,7 @@ from repro.kernel.scache import solver_session
 from repro.trace import Trace
 from repro.mc.encode import SymbolicEncoding
 from repro.netlist.circuit import Circuit
-from repro.sat.solver import SatStatus, Solver
+from repro.sat.solver import SatStatus
 from repro.sim.simulator import Simulator
 
 
@@ -143,7 +143,6 @@ def certify_invariant(
     invariant: Function,
     encoding: SymbolicEncoding,
     max_conflicts: Optional[int] = 1_000_000,
-    incremental: bool = True,
 ) -> Certificate:
     """SAT-check the three inductive-invariant obligations on ``model``.
 
@@ -151,12 +150,12 @@ def certify_invariant(
     2. *Consecution*: no transition leaves the invariant.
     3. *Safety*: no invariant state is a bad state.
 
-    With ``incremental`` (default), obligations run on the pooled solver
-    sessions for ``model`` -- sharing learned clauses with the BMC and
-    ATPG queries CEGAR already issued on the same abstraction -- and the
-    per-obligation invariant encodings are scoped inside
-    ``push()``/``pop()`` activation groups so they vanish after the
-    query instead of polluting the shared clause database.
+    Obligations run on the pooled solver sessions for ``model`` --
+    sharing learned clauses with the BMC and ATPG queries CEGAR already
+    issued on the same abstraction -- and the per-obligation invariant
+    encodings are scoped inside ``push()``/``pop()`` activation groups
+    so they vanish after the query instead of polluting the shared
+    clause database.
     """
     obligations: Dict[str, str] = {}
     status = CertificateStatus.CERTIFIED
@@ -173,92 +172,56 @@ def certify_invariant(
             if status is CertificateStatus.CERTIFIED:
                 status = CertificateStatus.INCOMPLETE
 
-    if incremental:
-        # One initial-state session (shared with BMC's bounded loop) and
-        # one free-start two-frame session (shared with combinational
-        # ATPG; frame 1 is simply unconstrained for 1-frame queries).
-        init_session = solver_session(model, 1, use_initial_state=True)
-        free_session = solver_session(model, 2, use_initial_state=False)
+    # One initial-state session (shared with BMC's bounded loop) and one
+    # free-start two-frame session (shared with combinational ATPG;
+    # frame 1 is simply unconstrained for 1-frame queries).
+    init_session = solver_session(model, 1, use_initial_state=True)
+    free_session = solver_session(model, 2, use_initial_state=False)
 
-        def run_scoped(name: str, session, build_lits) -> None:
-            session.solver.push()
-            try:
-                lits = build_lits(session)
-                result = session.solve(lits, max_conflicts=max_conflicts)
-            finally:
-                session.solver.pop()
-            record(name, result)
-
-        run_scoped(
-            "initiation",
-            init_session,
-            lambda s: [
-                -_invariant_clauses(
-                    invariant, encoding, s.unroller, 0,
-                    s.fresh_prefix("inv0"),
-                )
-            ],
-        )
-
-        def consecution_lits(s):
-            inv0 = _invariant_clauses(
-                invariant, encoding, s.unroller, 0, s.fresh_prefix("inv0")
-            )
-            inv1 = _invariant_clauses(
-                invariant, encoding, s.unroller, 1, s.fresh_prefix("inv1")
-            )
-            return [inv0, -inv1]
-
-        run_scoped("consecution", free_session, consecution_lits)
-
-        def safety_lits(s):
-            inv0 = _invariant_clauses(
-                invariant, encoding, s.unroller, 0, s.fresh_prefix("inv0")
-            )
-            bad = [
-                s.unroller.lit(name, 0, value)
-                for name, value in prop.target.items()
-            ]
-            return [inv0] + bad
-
-        run_scoped("safety", free_session, safety_lits)
-        return Certificate(status=status, obligations=obligations)
-
-    def run_query(name: str, build) -> None:
-        solver, query_lits = build()
-        result = solver.solve(
-            assumptions=query_lits, max_conflicts=max_conflicts
-        )
+    def run_scoped(name: str, session, build_lits) -> None:
+        session.solver.push()
+        try:
+            lits = build_lits(session)
+            result = session.solve(lits, max_conflicts=max_conflicts)
+        finally:
+            session.solver.pop()
         record(name, result)
 
     # 1. Initiation: init & ~Inv(0) unsat.
-    def build_initiation():
-        unroller = Unroller(model, 1, use_initial_state=True)
-        inv0 = _invariant_clauses(invariant, encoding, unroller, 0, "inv0")
-        return Solver(unroller.cnf), [-inv0]
-
-    run_query("initiation", build_initiation)
+    run_scoped(
+        "initiation",
+        init_session,
+        lambda s: [
+            -_invariant_clauses(
+                invariant, encoding, s.unroller, 0, s.fresh_prefix("inv0")
+            )
+        ],
+    )
 
     # 2. Consecution: Inv(0) & T & ~Inv(1) unsat.
-    def build_consecution():
-        unroller = Unroller(model, 2, use_initial_state=False)
-        inv0 = _invariant_clauses(invariant, encoding, unroller, 0, "inv0")
-        inv1 = _invariant_clauses(invariant, encoding, unroller, 1, "inv1")
-        return Solver(unroller.cnf), [inv0, -inv1]
+    def consecution_lits(s):
+        inv0 = _invariant_clauses(
+            invariant, encoding, s.unroller, 0, s.fresh_prefix("inv0")
+        )
+        inv1 = _invariant_clauses(
+            invariant, encoding, s.unroller, 1, s.fresh_prefix("inv1")
+        )
+        return [inv0, -inv1]
 
-    run_query("consecution", build_consecution)
+    run_scoped("consecution", free_session, consecution_lits)
 
     # 3. Safety: Inv(0) & bad(0) unsat.
-    def build_safety():
-        unroller = Unroller(model, 1, use_initial_state=False)
-        inv0 = _invariant_clauses(invariant, encoding, unroller, 0, "inv0")
+    def safety_lits(s):
+        inv0 = _invariant_clauses(
+            invariant, encoding, s.unroller, 0, s.fresh_prefix("inv0")
+        )
         bad = [
-            unroller.lit(name, 0, value)
+            s.unroller.lit(name, 0, value)
             for name, value in prop.target.items()
         ]
-        return Solver(unroller.cnf), [inv0] + bad
+        return [inv0] + bad
 
-    run_query("safety", build_safety)
+    run_scoped("safety", free_session, safety_lits)
     return Certificate(status=status, obligations=obligations)
 
 

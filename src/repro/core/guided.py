@@ -93,7 +93,6 @@ def guided_concrete_search(
     use_guidance: bool = True,
     extra_depth: int = 0,
     max_gate_frames: Optional[int] = None,
-    incremental: bool = True,
 ) -> GuidedSearchResult:
     """Step 3: search for an error trace on the original design.
 
@@ -144,7 +143,6 @@ def guided_concrete_search(
             cubes,
             budget=budget,
             skip_missing=True,
-            incremental=incremental,
         )
         total_conflicts += result.conflicts
         if result.outcome is AtpgOutcome.TRACE_FOUND:

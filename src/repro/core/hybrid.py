@@ -62,8 +62,6 @@ class HybridTraceEngine:
     max_cube_tries: int = 256
     #: optional runtime budget polled per pre-image step and cube try
     budget: Optional[Budget] = None
-    #: route ATPG justification through the pooled incremental solver
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         self.mincut: MinCutResult = min_cut_design(self.model)
@@ -165,8 +163,7 @@ class HybridTraceEngine:
         a min-cut cube (Section 2.2)."""
         self.stats.atpg_calls += 1
         result = combinational_atpg(
-            self.model, cube, budget=self.atpg_budget,
-            incremental=self.incremental,
+            self.model, cube, budget=self.atpg_budget
         )
         self.stats.atpg_conflicts += result.conflicts
         if result.outcome is not AtpgOutcome.TRACE_FOUND:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.atpg.encode import SolverSession
 from repro.atpg.engine import (
     AtpgBudget,
     AtpgOutcome,
@@ -83,7 +82,7 @@ def crucial_register_candidates(
     # Single-lane 3-valued replay on the compiled kernel: every register
     # starts at X except those the trace's first cube assigns.
     state = {name: pack_value(X, 1) for name in original.registers}
-    with PERF.timed("kernel.replay"):
+    with obs.span("kernel.replay"):
         for name, value in trace.cube_at(0).items():
             if original.is_register_output(name):
                 state[name] = pack_value(value, 1)
@@ -143,7 +142,6 @@ def trace_satisfiable_on(
     model: Circuit,
     trace: Trace,
     budget: Optional[AtpgBudget] = None,
-    incremental: bool = True,
 ) -> AtpgOutcome:
     """Is the error trace (as per-cycle constraint cubes) satisfiable on a
     candidate abstract model?  Three-way ATPG answer."""
@@ -161,7 +159,6 @@ def trace_satisfiable_on(
         cubes,
         budget=budget,
         skip_missing=True,
-        incremental=incremental,
     )
     return result.outcome
 
@@ -198,8 +195,7 @@ class CandidateProbe:
     trace's signals that ``with_registers(S)`` defines -- so each probe
     has the per-model answer while learned clauses carry over between
     probes.  A SAT answer is replayed on the kernel simulator before it
-    is believed.  ``incremental=False`` builds the instance outside the
-    solver-session pool.
+    is believed.
     """
 
     def __init__(
@@ -208,7 +204,6 @@ class CandidateProbe:
         trace: Trace,
         candidates: Sequence[str],
         budget: Optional[AtpgBudget] = None,
-        incremental: bool = True,
     ) -> None:
         kept = abstraction.kept_registers
         candidates = list(dict.fromkeys(candidates))
@@ -216,14 +211,7 @@ class CandidateProbe:
         self.model = abstraction.with_registers(candidates)
         self.budget = budget or AtpgBudget()
         self.cycles = trace.length
-        if incremental:
-            self.session = solver_session(
-                self.model, self.cycles, guarded=guarded
-            )
-        else:
-            self.session = SolverSession(
-                self.model, self.cycles, guarded=guarded
-            )
+        self.session = solver_session(self.model, self.cycles, guarded=guarded)
         unroller = self.session.unroller
         #: (cycle, signal, value, literal) for every cube entry the union
         #: model can encode, in trace order
@@ -309,7 +297,6 @@ def minimize_candidates(
     trace: Trace,
     candidates: Sequence[str],
     budget: Optional[AtpgBudget] = None,
-    incremental: bool = True,
 ) -> RefinementResult:
     """Phase 2: the greedy add-until-unsatisfiable / try-remove loop.
 
@@ -318,9 +305,7 @@ def minimize_candidates(
     stats = RefinementStats(candidates=len(candidates), minimized=True)
     if not candidates:
         return RefinementResult([], stats)
-    probe = CandidateProbe(
-        abstraction, trace, candidates, budget, incremental
-    )
+    probe = CandidateProbe(abstraction, trace, candidates, budget)
     added: List[str] = []
     unsatisfiable = False
     runtime = budget.runtime if budget is not None else None
@@ -360,7 +345,6 @@ def refine_from_trace(
     budget: Optional[AtpgBudget] = None,
     minimize: bool = True,
     fallback_count: int = 8,
-    incremental: bool = True,
 ) -> RefinementResult:
     """The full Step 4: phase-1 candidates, then phase-2 minimization."""
     phase1 = crucial_register_candidates(
@@ -375,8 +359,7 @@ def refine_from_trace(
         phase1.stats.selected = len(phase1.registers)
         return phase1
     result = minimize_candidates(
-        abstraction, trace, phase1.registers, budget=budget,
-        incremental=incremental,
+        abstraction, trace, phase1.registers, budget=budget
     )
     result.stats.conflicts_found = phase1.stats.conflicts_found
     result.stats.candidates = phase1.stats.candidates

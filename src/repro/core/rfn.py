@@ -108,10 +108,6 @@ class RfnConfig:
     retry_scale: float = 2.0
     #: k-induction depth for the abstract-model BMC fallback of Step 2
     fallback_bmc_depth: int = 24
-    #: run every SAT engine (BMC fallbacks, guided/refinement ATPG, the
-    #: hybrid engine's justification calls) on the pooled incremental
-    #: solver sessions; the CLI's --no-incremental escape hatch clears it
-    incremental: bool = True
     #: >= 2 races Step 2 (bdd vs k-induction on the abstract model)
     #: across that many portfolio workers (``repro verify --jobs N``);
     #: 0/1 keeps the classic sequential supervised step.  Abstract error
@@ -522,7 +518,6 @@ class RFN:
                         induction=True,
                         unique_states=True,
                         budget=budget,
-                        incremental=config.incremental,
                     )
                     if result.outcome is BmcOutcome.UNKNOWN:
                         raise DepthOut(
@@ -610,7 +605,6 @@ class RFN:
                             atpg_budget=atpg_budget,
                             max_cube_tries=int(256 * scale),
                             budget=budget,
-                            incremental=config.incremental,
                         )
                         self._hybrid_stats = hybrid.stats
                         try:
@@ -630,7 +624,6 @@ class RFN:
                             max_conflicts=config.atpg_budget.max_conflicts,
                             induction=False,
                             budget=budget,
-                            incremental=config.incremental,
                         )
                         if result.outcome is not BmcOutcome.FALSE:
                             raise DepthOut(
@@ -693,7 +686,6 @@ class RFN:
                         use_guidance=config.guidance,
                         extra_depth=config.guided_extra_depth,
                         max_gate_frames=config.guided_max_gate_frames,
-                        incremental=config.incremental,
                     )
 
                 step = supervisor.attempt("guided", guided_step, retries=0)
@@ -745,7 +737,6 @@ class RFN:
                     budget=refine_budget,
                     minimize=config.enable_minimization,
                     fallback_count=config.fallback_candidates,
-                    incremental=config.incremental,
                 )
 
             def refine_fallback(_attempt: int):

@@ -2,10 +2,12 @@
 
 A process-global :class:`PerfCounters` instance (``PERF``) accumulates
 simulation throughput (gate evaluations, pattern-gate evaluations),
-structural-cache hit rates (compile, topo, COI, Tseitin frame templates)
-and per-phase wall time.  Everything is plain counters -- one dict update
-per *call*, never per gate -- so the instrumentation itself stays off the
-hot path.
+structural-cache hit rates (compile, topo, COI, Tseitin frame templates),
+named event counters and gauges.  Everything is plain counters -- one
+dict update per *call*, never per gate -- so the instrumentation itself
+stays off the hot path.  Phase timing is not kept here: the kernel's
+compile, Tseitin-template, unroll and replay phases are tracer spans
+(:mod:`repro.obs.tracer`), the one timing mechanism.
 
 Surfaced through ``python -m repro stats --perf`` and the
 ``benchmarks/bench_sim_throughput.py`` microbenchmark.
@@ -13,9 +15,7 @@ Surfaced through ``python -m repro stats --perf`` and the
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
 
 class PerfCounters:
@@ -31,8 +31,6 @@ class PerfCounters:
         self.sim_seconds = 0.0
         self.cache_hits: Dict[str, int] = {}
         self.cache_misses: Dict[str, int] = {}
-        self.phase_seconds: Dict[str, float] = {}
-        self.phase_calls: Dict[str, int] = {}
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
 
@@ -81,20 +79,6 @@ class PerfCounters:
             return 0.0
         return self.pattern_gate_evals / self.sim_seconds
 
-    # -- phase timing ----------------------------------------------------
-
-    @contextmanager
-    def timed(self, phase: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.phase_seconds[phase] = (
-                self.phase_seconds.get(phase, 0.0) + elapsed
-            )
-            self.phase_calls[phase] = self.phase_calls.get(phase, 0) + 1
-
     # -- cross-process aggregation ---------------------------------------
 
     def merge(self, snapshot: Dict[str, object]) -> None:
@@ -107,7 +91,8 @@ class PerfCounters:
         Tolerant by contract: a snapshot from a *newer* worker may carry
         keys this process has never heard of, or reshape a section this
         process does not consume -- both must merge without raising.
-        Unknown top-level keys are ignored; known sections skip entries
+        Unknown top-level keys (among them the ``phases`` section older
+        snapshots carried) are ignored; known sections skip entries
         whose values do not coerce."""
         self.gate_evals += _as_int(snapshot.get("gate_evals"))
         self.pattern_gate_evals += _as_int(snapshot.get("pattern_gate_evals"))
@@ -119,15 +104,6 @@ class PerfCounters:
             info = _as_dict(info)
             self.hit(name, _as_int(info.get("hits")))
             self.miss(name, _as_int(info.get("misses")))
-        for name, info in _as_dict(snapshot.get("phases")).items():
-            info = _as_dict(info)
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0)
-                + _as_float(info.get("seconds"))
-            )
-            self.phase_calls[name] = (
-                self.phase_calls.get(name, 0) + _as_int(info.get("calls"))
-            )
         for name, value in _as_dict(snapshot.get("gauges")).items():
             try:
                 self.gauge(name, float(value))
@@ -154,13 +130,6 @@ class PerfCounters:
             "pattern_gates_per_second": round(self.pattern_gates_per_second),
             "counters": dict(sorted(self.counters.items())),
             "caches": caches,
-            "phases": {
-                name: {
-                    "seconds": round(self.phase_seconds[name], 6),
-                    "calls": self.phase_calls.get(name, 0),
-                }
-                for name in sorted(self.phase_seconds)
-            },
         }
         if self.gauges:
             snap["gauges"] = {
@@ -188,13 +157,6 @@ class PerfCounters:
                     f"    {name}: {info['hits']} hits / "
                     f"{info['misses']} misses "
                     f"({100 * info['hit_rate']:.1f}% hit rate)"
-                )
-        if snap["phases"]:
-            lines.append("  phases:")
-            for name, info in snap["phases"].items():
-                lines.append(
-                    f"    {name}: {info['seconds']}s over "
-                    f"{info['calls']} calls"
                 )
         # Only present when gauges exist, so pre-gauge output stays
         # byte-identical.

@@ -38,6 +38,7 @@ from repro.kernel.perf import PERF
 from repro.netlist.cell import GateOp
 from repro.netlist.circuit import Circuit
 from repro.netlist.ops import coi_registers, extract_subcircuit
+from repro.obs import tracer as obs
 from repro.sat.cnf import CNF
 
 # ----------------------------------------------------------------------
@@ -84,7 +85,7 @@ def compiled(circuit: Circuit) -> CompiledCircuit:
         PERF.hit("compile")
         return entry.compiled
     PERF.miss("compile")
-    with PERF.timed("kernel.compile"):
+    with obs.span("kernel.compile"):
         entry.compiled = compile_circuit_uncached(circuit)
     return entry.compiled
 
@@ -240,7 +241,7 @@ def frame_template(circuit: Circuit) -> FrameTemplate:
         entry.frame_template = template
         return template
     PERF.miss("frame_template")
-    with PERF.timed("kernel.tseitin_template"):
+    with obs.span("kernel.tseitin_template"):
         template = FrameTemplate(circuit)
     entry.frame_template = template
     _TEMPLATES_BY_FP[fp] = template

@@ -10,8 +10,8 @@ With ``unique_states`` the induction step adds simple-path constraints
 (pairwise state disequality), which makes k-induction complete on finite
 systems at the cost of quadratically many constraints.
 
-Incremental formulation (default).  Instead of building a fresh CNF and
-solver at every depth, both loops run on persistent
+Both loops use the single-instance incremental formulation: instead of
+building a fresh CNF and solver at every depth, they run on persistent
 :class:`~repro.atpg.encode.SolverSession` objects pooled by
 :func:`repro.kernel.scache.solver_session`:
 
@@ -41,14 +41,14 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from repro.atpg.encode import SolverSession, Unroller
 from repro.core.property import UnreachabilityProperty
 from repro.kernel.scache import coi_model, solver_session
 from repro.netlist.circuit import Circuit
 from repro.obs import tracer as obs
-from repro.sat.solver import SatStatus, Solver
+from repro.sat.solver import SatStatus
 from repro.trace import Trace
 
 
@@ -87,11 +87,15 @@ def _minimize_model(
     Greedily pins every *free* variable of the unrolling -- frame-0
     registers without a declared init, then the inputs of each cycle, in
     declaration order -- preferring 0.  Since the circuit is
-    deterministic, this pins the entire model, so incremental and
-    monolithic solving (whose raw CDCL models differ) decode to the
-    *same* counterexample trace.  ``solve_fn(assumptions)`` must return a
-    :class:`SatResult`; a non-SAT/UNSAT status (budget or deadline ran
-    out mid-minimization) falls back to the last model seen.
+    deterministic, this pins the entire model up to ``depth``, so the
+    trace depends only on the circuit and the property, never on the
+    session's history: a pooled session grown deeper or carrying
+    learned clauses from earlier BMC, ATPG and CEGAR queries decodes to
+    the counterexample a fresh per-depth solver would (the test-local
+    reference BMC of ``tests/test_bmc_incremental.py`` pins this).
+    ``solve_fn(assumptions)`` must return a :class:`SatResult`; a
+    non-SAT/UNSAT status (budget or deadline ran out mid-minimization)
+    falls back to the last model seen.
     """
     queries: List[int] = []
     for name, reg in circuit.registers.items():
@@ -129,82 +133,6 @@ def _decode_trace(
     return trace
 
 
-# ----------------------------------------------------------------------
-# Monolithic (per-depth re-encode) steps -- the --no-incremental path
-# ----------------------------------------------------------------------
-
-
-def _bounded_step(
-    circuit: Circuit,
-    prop: UnreachabilityProperty,
-    depth: int,
-    max_conflicts: Optional[int],
-    deadline: Optional[float] = None,
-    budget=None,
-    canonical_trace: bool = False,
-) -> Optional[Trace]:
-    """SAT query: init & T^depth & bad@depth.  Returns a trace or None."""
-    unroller = Unroller(circuit, depth + 1, use_initial_state=True)
-    for lit in _bad_literals(unroller, prop, depth):
-        unroller.cnf.add_unit(lit)
-    solver = Solver(unroller.cnf)
-
-    def solve_fn(assumptions):
-        return solver.solve(
-            assumptions=assumptions,
-            max_conflicts=max_conflicts,
-            deadline=deadline,
-            budget=budget,
-        )
-
-    result = solve_fn([])
-    if result.status is not SatStatus.SAT:
-        return None
-    model = result.model
-    if canonical_trace:
-        model = _minimize_model(
-            solve_fn, unroller, circuit, depth, [], model
-        )
-    return _decode_trace(unroller, circuit, model, depth)
-
-
-def _induction_step(
-    circuit: Circuit,
-    prop: UnreachabilityProperty,
-    depth: int,
-    max_conflicts: Optional[int],
-    unique_states: bool,
-    deadline: Optional[float] = None,
-    budget=None,
-) -> Optional[bool]:
-    """SAT query: ~bad@0..depth-1 & T^depth & bad@depth with a free start.
-
-    Returns True when UNSAT (induction holds), False when SAT, None on
-    budget exhaustion.
-    """
-    unroller = Unroller(circuit, depth + 1, use_initial_state=False)
-    cnf = unroller.cnf
-    for cycle in range(depth):
-        cnf.add_clause(
-            [-lit for lit in _bad_literals(unroller, prop, cycle)]
-        )
-    for lit in _bad_literals(unroller, prop, depth):
-        cnf.add_unit(lit)
-    if unique_states and depth >= 1:
-        registers = list(circuit.registers)
-        for i in range(depth + 1):
-            for j in range(i + 1, depth + 1):
-                _add_disequality(cnf, unroller, registers, i, j)
-    result = Solver(cnf).solve(
-        max_conflicts=max_conflicts, deadline=deadline, budget=budget
-    )
-    if result.status is SatStatus.UNSAT:
-        return True
-    if result.status is SatStatus.SAT:
-        return False
-    return None
-
-
 def _add_disequality(
     cnf, unroller: Unroller, registers: List[str], i: int, j: int
 ) -> None:
@@ -219,12 +147,7 @@ def _add_disequality(
     cnf.add_clause(difference)
 
 
-# ----------------------------------------------------------------------
-# Incremental steps -- one persistent session per loop
-# ----------------------------------------------------------------------
-
-
-def _bounded_step_incremental(
+def _bounded_step(
     session: SolverSession,
     prop: UnreachabilityProperty,
     depth: int,
@@ -258,7 +181,7 @@ def _bounded_step_incremental(
     return _decode_trace(unroller, session.circuit, model, depth)
 
 
-def _induction_step_incremental(
+def _induction_step(
     session: SolverSession,
     prop: UnreachabilityProperty,
     depth: int,
@@ -326,33 +249,26 @@ def bmc(
     use_coi: bool = True,
     max_seconds: Optional[float] = None,
     budget=None,
-    incremental: bool = True,
     canonical_trace: bool = False,
 ) -> BmcResult:
     """Iteratively-deepened bounded model checking with k-induction.
 
     At each depth ``k``: look for a length-``k`` counterexample; if none
     and ``induction`` is on, try to close the proof with the ``k``-step
-    induction obligation.
+    induction obligation.  Both loops run on pooled persistent solver
+    sessions (see module docstring).
 
     ``max_seconds`` bounds the whole run (each SAT call inherits the
     remaining wall clock; an exceeded deadline yields UNKNOWN).
     ``budget`` optionally attaches a :class:`repro.runtime.Budget`,
     whose exhaustion raises a structured ``EngineAbort`` instead.
 
-    ``incremental`` (default) runs both loops on pooled persistent
-    solver sessions (see module docstring); ``incremental=False`` is the
-    legacy per-depth re-encode, kept as the ``--no-incremental`` escape
-    hatch.  ``canonical_trace`` lexicographically minimizes the
-    counterexample so both modes return the identical trace (used by the
-    equivalence tests; costs one SAT call per free variable).
+    ``canonical_trace`` lexicographically minimizes the counterexample,
+    so the trace is independent of the pool's history (used by the
+    portfolio's canonical witnesses; costs one SAT call per free
+    variable).
     """
-    with obs.span(
-        "mc.bmc",
-        max_depth=max_depth,
-        induction=induction,
-        incremental=incremental,
-    ) as phase:
+    with obs.span("mc.bmc", max_depth=max_depth, induction=induction) as phase:
         result = _bmc_run(
             circuit,
             prop,
@@ -363,7 +279,6 @@ def bmc(
             use_coi=use_coi,
             max_seconds=max_seconds,
             budget=budget,
-            incremental=incremental,
             canonical_trace=canonical_trace,
         )
         phase.set(result=result.outcome.value, depth=result.depth)
@@ -382,7 +297,6 @@ def _bmc_run(
     use_coi: bool = True,
     max_seconds: Optional[float] = None,
     budget=None,
-    incremental: bool = True,
     canonical_trace: bool = False,
 ) -> BmcResult:
     start = time.monotonic()
@@ -393,27 +307,17 @@ def _bmc_run(
     model = circuit
     if use_coi:
         model = coi_model(circuit, prop.signals())
-    bounded_session: Optional[SolverSession] = None
+    bounded_session = solver_session(model, cycles=1, use_initial_state=True)
     induction_session: Optional[SolverSession] = None
-    if incremental:
-        bounded_session = solver_session(
-            model, cycles=1, use_initial_state=True
-        )
     for depth in range(max_depth + 1):
         if deadline is not None and time.monotonic() >= deadline:
             break
         if budget is not None:
             budget.checkpoint(engine="bmc")
-        if incremental:
-            trace = _bounded_step_incremental(
-                bounded_session, prop, depth, max_conflicts,
-                deadline, budget, canonical_trace,
-            )
-        else:
-            trace = _bounded_step(
-                model, prop, depth, max_conflicts, deadline, budget,
-                canonical_trace,
-            )
+        trace = _bounded_step(
+            bounded_session, prop, depth, max_conflicts,
+            deadline, budget, canonical_trace,
+        )
         if trace is not None:
             return BmcResult(
                 BmcOutcome.FALSE,
@@ -422,34 +326,24 @@ def _bmc_run(
                 seconds=time.monotonic() - start,
             )
         if induction and depth >= 1:
-            if incremental:
-                if induction_session is None:
-                    induction_session = solver_session(
-                        model,
-                        cycles=depth + 1,
-                        use_initial_state=False,
-                        tag=_induction_tag(prop, unique_states),
-                    )
-                # A pooled session already carries permanent ~bad /
-                # uniqueness constraints up to its high-water mark;
-                # querying below it would be spuriously UNSAT.
-                watermark = max(
-                    induction_session.meta.get("nobad", 0),
-                    induction_session.meta.get("uniq", 0),
+            if induction_session is None:
+                induction_session = solver_session(
+                    model,
+                    cycles=depth + 1,
+                    use_initial_state=False,
+                    tag=_induction_tag(prop, unique_states),
                 )
-                if depth < watermark:
-                    holds = None
-                else:
-                    holds = _induction_step_incremental(
-                        induction_session, prop, depth, max_conflicts,
-                        unique_states, deadline, budget,
-                    )
-            else:
-                holds = _induction_step(
-                    model, prop, depth, max_conflicts, unique_states,
-                    deadline, budget,
-                )
-            if holds:
+            # A pooled session already carries permanent ~bad /
+            # uniqueness constraints up to its high-water mark;
+            # querying below it would be spuriously UNSAT.
+            watermark = max(
+                induction_session.meta.get("nobad", 0),
+                induction_session.meta.get("uniq", 0),
+            )
+            if depth >= watermark and _induction_step(
+                induction_session, prop, depth, max_conflicts,
+                unique_states, deadline, budget,
+            ):
                 return BmcResult(
                     BmcOutcome.TRUE,
                     depth,

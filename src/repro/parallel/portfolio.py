@@ -103,14 +103,15 @@ def canonical_witness(
     first, then lexicographically minimal under the circuit's signal
     declaration order (the ``bmc`` canonical-trace contract).  Bounded
     by the witness's own length, so the recomputation can never search
-    deeper than what some engine already found."""
+    deeper than what some engine already found.  It runs on the pooled
+    bounded-BMC session; the minimization pins every free variable, so
+    whatever that session already holds cannot change the trace."""
     result = bmc(
         circuit,
         prop,
         max_depth=max(0, witness.length - 1),
         max_conflicts=None,
         induction=False,
-        incremental=False,
         canonical_trace=True,
     )
     if result.outcome is BmcOutcome.FALSE and result.trace is not None:

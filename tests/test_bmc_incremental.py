@@ -1,29 +1,35 @@
 """Incremental SAT core: push/pop groups, session pooling, and the
-incremental-vs-monolithic BMC equivalence suite.
+pooled-vs-reference BMC equivalence suite.
 
 The equivalence suite is the soundness gate for the single-instance
 formulation: over a set of fuzz-generated (circuit, property) instances,
 the incremental BMC loop (one pooled solver, ``bad@k`` via assumptions,
 frame-append unrolling) must return the *identical* verdict -- and, for
 FALSE verdicts, the identical lexicographically-canonical counterexample
-trace -- as the monolithic per-depth re-encode.  Both verdict polarities
-must occur across the seed set, so a bug that biases one mode toward
-TRUE or FALSE cannot hide.
+trace -- as :func:`reference_bmc`, a small monolithic BMC defined here
+that re-encodes the unrolling on a fresh solver at every depth.  Both
+verdict polarities must occur across the seed set, so a bug that biases
+one side toward TRUE or FALSE cannot hide.  The portfolio's canonical
+witnesses run on the pooled session, so they are pinned the same way,
+cold and after the pool was warmed by deeper queries.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.atpg.encode import SolverSession
+from repro.atpg.encode import SolverSession, Unroller
+from repro.atpg.engine import sequential_atpg
 from repro.fuzz.gen import GenConfig, generate_instance
 from repro.kernel.perf import PERF
-from repro.kernel.scache import clear_caches, solver_session
+from repro.kernel.scache import clear_caches, coi_model, solver_session
 from repro.mc.bmc import BmcOutcome, bmc
+from repro.parallel.portfolio import canonical_witness
 from repro.runtime.abort import ConflictsOut
 from repro.runtime.budget import Budget
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatStatus, Solver
+from repro.trace import Trace
 
 from tests.conftest import saturating_counter
 
@@ -168,43 +174,134 @@ def test_solver_session_perf_counters():
 
 
 # ---------------------------------------------------------------------
-# Incremental vs monolithic equivalence
+# Test-local reference: monolithic per-depth re-encode
+# ---------------------------------------------------------------------
+
+
+def _bad(unroller, prop, cycle):
+    return [
+        unroller.lit(name, cycle, value)
+        for name, value in prop.target.items()
+    ]
+
+
+def _reference_trace(unroller, solver, circuit, depth, bad):
+    """The canonical counterexample: pin every free variable (frame-0
+    registers without an init, then each cycle's inputs, in declaration
+    order) to 0 where some counterexample allows it, else to 1."""
+    free = [
+        unroller.lit(name, 0)
+        for name, reg in circuit.registers.items()
+        if reg.init is None
+    ]
+    free += [
+        unroller.lit(name, cycle)
+        for cycle in range(depth + 1)
+        for name in circuit.inputs
+    ]
+    fixed = list(bad)
+    for lit in free:
+        sat = solver.solve(assumptions=fixed + [-lit]).status
+        fixed.append(-lit if sat is SatStatus.SAT else lit)
+    model = solver.solve(assumptions=fixed).model
+    trace = Trace(circuit_name=circuit.name)
+    for cycle in range(depth + 1):
+        trace.append_cycle(
+            unroller.decode_state(model, cycle),
+            unroller.decode_inputs(model, cycle),
+        )
+    return trace
+
+
+def _reference_induction(circuit, prop, depth, unique_states):
+    """~bad@0..depth-1 & T^depth & bad@depth from a free start is UNSAT,
+    optionally with every pair of states distinct."""
+    unroller = Unroller(circuit, depth + 1, use_initial_state=False)
+    cnf = unroller.cnf
+    for cycle in range(depth):
+        cnf.add_clause([-lit for lit in _bad(unroller, prop, cycle)])
+    if unique_states:
+        for j in range(depth + 1):
+            for i in range(j):
+                difference = []
+                for reg in circuit.registers:
+                    neq = cnf.new_var()
+                    cnf.add_xor2(
+                        neq,
+                        abs(unroller.lit(reg, i)),
+                        abs(unroller.lit(reg, j)),
+                    )
+                    difference.append(neq)
+                cnf.add_clause(difference)
+    result = Solver(cnf).solve(assumptions=_bad(unroller, prop, depth))
+    return result.status is SatStatus.UNSAT
+
+
+def reference_bmc(circuit, prop, max_depth, unique_states):
+    """BMC with k-induction on a fresh ``Unroller`` + ``Solver`` per
+    depth and per obligation.  Returns ``(outcome, depth,
+    induction_depth, canonical trace)``."""
+    model = coi_model(circuit, prop.signals())
+    for depth in range(max_depth + 1):
+        unroller = Unroller(model, depth + 1, use_initial_state=True)
+        solver = Solver(unroller.cnf)
+        bad = _bad(unroller, prop, depth)
+        if solver.solve(assumptions=bad).status is SatStatus.SAT:
+            trace = _reference_trace(unroller, solver, model, depth, bad)
+            return BmcOutcome.FALSE, depth, None, trace
+        if depth >= 1 and _reference_induction(
+            model, prop, depth, unique_states
+        ):
+            return BmcOutcome.TRUE, depth, depth, None
+    return BmcOutcome.UNKNOWN, max_depth, None, None
+
+
+# ---------------------------------------------------------------------
+# Pooled BMC vs the reference
 # ---------------------------------------------------------------------
 
 SEEDS = list(range(25))
+#: a superset of SEEDS (so both polarities occur): few instances leave
+#: a raw CDCL model history-dependent (about one falsified seed in
+#: twelve), so the witness test sweeps more of them
+WITNESS_SEEDS = list(range(100))
+MAX_DEPTH = 10
 _RESULTS_CACHE = {}
 
 
 def _bmc_pair(seed: int):
-    """Run both modes on one fuzz instance with canonical traces."""
+    """Pooled ``bmc`` from a cold pool and the reference on one fuzz
+    instance, both with canonical traces."""
     if seed in _RESULTS_CACHE:
         return _RESULTS_CACHE[seed]
     inst = generate_instance(seed, GenConfig())
-    kwargs = dict(
-        max_depth=10,
+    clear_caches()
+    pooled = bmc(
+        inst.circuit,
+        inst.prop,
+        max_depth=MAX_DEPTH,
         max_conflicts=None,
         induction=True,
         unique_states=True,
         canonical_trace=True,
     )
-    clear_caches()
-    incr = bmc(inst.circuit, inst.prop, incremental=True, **kwargs)
-    clear_caches()
-    mono = bmc(inst.circuit, inst.prop, incremental=False, **kwargs)
-    _RESULTS_CACHE[seed] = (incr, mono)
-    return incr, mono
+    reference = reference_bmc(
+        inst.circuit, inst.prop, MAX_DEPTH, unique_states=True
+    )
+    _RESULTS_CACHE[seed] = (pooled, reference)
+    return pooled, reference
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_incremental_matches_monolithic(seed):
-    incr, mono = _bmc_pair(seed)
-    assert incr.outcome == mono.outcome
-    assert incr.depth == mono.depth
-    assert incr.induction_depth == mono.induction_depth
-    if incr.outcome is BmcOutcome.FALSE:
+    pooled, (outcome, depth, induction_depth, trace) = _bmc_pair(seed)
+    assert pooled.outcome == outcome
+    assert pooled.depth == depth
+    assert pooled.induction_depth == induction_depth
+    if pooled.outcome is BmcOutcome.FALSE:
         # Canonical (lexicographically minimized) traces are identical
         # regardless of solver history.
-        assert incr.trace == mono.trace
+        assert pooled.trace == trace
 
 
 def test_equivalence_covers_both_polarities():
@@ -216,14 +313,63 @@ def test_equivalence_covers_both_polarities():
 def test_pooled_induction_session_reuse_is_sound():
     """Re-running BMC on the same circuit reuses the pooled induction
     session whose permanent ~bad/uniqueness constraints are deeper than
-    the early depths; verdicts must still match a cold run."""
+    the early depths; verdicts must still match the reference."""
     circuit, prop = saturating_counter()
     clear_caches()
     warm1 = bmc(circuit, prop, max_depth=12, unique_states=True)
     warm2 = bmc(circuit, prop, max_depth=12, unique_states=True)
+    outcome, depth, _, _ = reference_bmc(
+        circuit, prop, 12, unique_states=True
+    )
+    assert warm1.outcome == outcome
+    assert warm2.outcome == outcome
+    assert warm1.depth == depth
+
+
+# ---------------------------------------------------------------------
+# Canonical witnesses on the pooled session
+# ---------------------------------------------------------------------
+
+
+def _warm_pool(circuit, prop, depth):
+    """Grow the pooled bounded session past ``depth`` with a deeper BMC
+    run (k-induction, simple paths) and a sequential ATPG query on the
+    same COI model, leaving their learned clauses behind."""
     clear_caches()
-    cold = bmc(circuit, prop, max_depth=12, unique_states=True,
-               incremental=False)
-    assert warm1.outcome == cold.outcome
-    assert warm2.outcome == cold.outcome
-    assert warm1.depth == cold.depth
+    bmc(
+        circuit,
+        prop,
+        max_depth=depth + 3,
+        max_conflicts=None,
+        induction=True,
+        unique_states=True,
+    )
+    model = coi_model(circuit, prop.signals())
+    sequential_atpg(model, depth + 4, {depth + 3: dict(prop.target)})
+    return solver_session(model, 1, use_initial_state=True)
+
+
+@pytest.mark.parametrize("seed", WITNESS_SEEDS)
+def test_canonical_witness_ignores_pool_history(seed):
+    inst = generate_instance(seed, GenConfig())
+    circuit, prop = inst.circuit, inst.prop
+    _, (outcome, depth, _, expected) = _bmc_pair(seed)
+    # Only the witness's length matters: it bounds the recomputation.
+    witness = Trace(
+        states=[{} for _ in range(depth + 1)],
+        inputs=[{} for _ in range(depth + 1)],
+    )
+    clear_caches()
+    cold = canonical_witness(circuit, prop, witness)
+    session = _warm_pool(circuit, prop, depth)
+    assert session.cycles > witness.length
+    hits = PERF.cache_hits.get("solver_pool", 0)
+    warm = canonical_witness(circuit, prop, witness)
+    assert PERF.cache_hits.get("solver_pool", 0) > hits
+    if outcome is BmcOutcome.FALSE:
+        assert cold == expected
+        assert warm == expected
+    else:
+        # No counterexample within the witness's length: kept as is.
+        assert cold is witness
+        assert warm is witness

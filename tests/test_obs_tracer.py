@@ -387,8 +387,6 @@ class TestPerfFormatPinned:
         perf.bump("sat.clauses_reused", 3)
         perf.hit("compile", 3)
         perf.miss("compile", 1)
-        perf.phase_seconds["reach"] = 0.25
-        perf.phase_calls["reach"] = 2
         assert perf.format() == (
             "kernel perf counters:\n"
             "  simulation: 40 pattern-gate evals in 0.5s "
@@ -396,9 +394,7 @@ class TestPerfFormatPinned:
             "  counters:\n"
             "    sat.clauses_reused: 3\n"
             "  caches:\n"
-            "    compile: 3 hits / 1 misses (75.0% hit rate)\n"
-            "  phases:\n"
-            "    reach: 0.25s over 2 calls"
+            "    compile: 3 hits / 1 misses (75.0% hit rate)"
         )
 
     def test_gauges_section_only_when_present(self):

@@ -283,8 +283,9 @@ def test_perf_merge_folds_worker_snapshot():
     assert merged["gate_evals"] == 20
     assert merged["counters"]["sat.conflicts"] == 6
     assert merged["caches"]["scache"]["hits"] == 4
-    assert merged["phases"]["reach"]["calls"] == 8
-    assert merged["phases"]["reach"]["seconds"] == pytest.approx(0.5)
+    # An older worker's phase timers are accepted and dropped: tracer
+    # spans are the one timing mechanism.
+    assert "phases" not in merged
     PERF.reset()
 
 

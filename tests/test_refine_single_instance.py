@@ -7,11 +7,11 @@ candidate.  These tests audit every refinement step RFN takes on the
 five Table 1 properties and on the refining instances of a 150-seed
 fuzz sweep (both polarities):
 
-- every probe's outcome equals the per-model reference,
-  ``trace_satisfiable_on(abstraction.with_registers(S), trace)`` on a
-  fresh solver;
+- every probe's outcome equals the per-model reference: the trace's
+  cubes asserted on ``abstraction.with_registers(S)`` in a fresh,
+  unpooled solver session;
 - ``minimize_candidates`` returns the registers the per-model greedy
-  loop returns, with and without the solver-session pool.
+  loop returns.
 
 They also pin the building blocks: guarded registers in ``Unroller``,
 the guarded set in the session-pool key, and the ``coi_model`` memo.
@@ -21,14 +21,10 @@ import pytest
 
 import repro.core.refine as refine_mod
 from repro.atpg.encode import SolverSession, Unroller
-from repro.atpg.engine import AtpgOutcome
+from repro.atpg.engine import AtpgBudget, AtpgOutcome, check_trace
 from repro.core import RFN, RfnConfig
 from repro.core.abstraction import Abstraction
-from repro.core.refine import (
-    CandidateProbe,
-    minimize_candidates,
-    trace_satisfiable_on,
-)
+from repro.core.refine import CandidateProbe, minimize_candidates
 from repro.designs import table1_workloads
 from repro.engine import Verdict
 from repro.fuzz import generate_instance
@@ -47,11 +43,45 @@ FUZZ_SEEDS = range(150)
 MIN_REFINING_SEEDS = 25
 
 
+_OUTCOMES = {
+    SatStatus.SAT: AtpgOutcome.TRACE_FOUND,
+    SatStatus.UNSAT: AtpgOutcome.UNSATISFIABLE,
+    SatStatus.UNKNOWN: AtpgOutcome.ABORTED,
+}
+
+
 def reference_outcome(abstraction, trace, registers):
-    """The per-model probe: a fresh solver on with_registers(S)."""
-    return trace_satisfiable_on(
-        abstraction.with_registers(registers), trace, incremental=False
+    """The per-model probe: the trace's cubes on with_registers(S), in a
+    fresh session outside the pool, under the default ATPG budget; a SAT
+    answer is replayed on the kernel simulator."""
+    model = abstraction.with_registers(registers)
+    session = SolverSession(model, trace.length)
+    unroller = session.unroller
+    cubes = {
+        cycle: {
+            name: value
+            for name, value in trace.cube_at(cycle).items()
+            if model.is_defined(name)
+        }
+        for cycle in range(trace.length)
+    }
+    result = session.solve(
+        [
+            unroller.lit(name, cycle, value)
+            for cycle, cube in cubes.items()
+            for name, value in cube.items()
+        ],
+        **AtpgBudget().solve_kwargs(),
     )
+    if result.status is SatStatus.SAT:
+        found = Trace(circuit_name=model.name)
+        for cycle in range(trace.length):
+            found.append_cycle(
+                unroller.decode_state(result.model, cycle),
+                unroller.decode_inputs(result.model, cycle),
+            )
+        check_trace(model, found, cubes)
+    return _OUTCOMES[result.status]
 
 
 def per_model_greedy(abstraction, trace, candidates):
@@ -97,19 +127,13 @@ class ProbeAudit:
             self.probes += 1
             return got
 
-        def minimize(abstraction, trace, candidates, budget=None,
-                     incremental=True):
+        def minimize(abstraction, trace, candidates, budget=None):
             self.step = (abstraction, trace)
             result = real_minimize(
-                abstraction, trace, candidates, budget=budget,
-                incremental=incremental,
-            )
-            unpooled = real_minimize(
-                abstraction, trace, candidates, incremental=False
+                abstraction, trace, candidates, budget=budget
             )
             greedy = per_model_greedy(abstraction, trace, candidates)
             assert result.registers == greedy, (candidates, greedy)
-            assert unpooled.registers == greedy
             self.steps += 1
             return result
 
@@ -188,28 +212,18 @@ class TestCandidateProbe:
         result = minimize_candidates(abstraction, trace, ["r1", "r2", "r4"])
         assert result.registers == ["r4"]
         assert created == [("r1", "r2", "r4")]
-
-    def test_unpooled_probe_bypasses_the_pool(self):
-        clear_caches()
-        abstraction, trace = chain_abstraction()
-        pooled = CandidateProbe(abstraction, trace, ["r4"])
-        assert CandidateProbe(abstraction, trace, ["r4"]).session is (
-            pooled.session
-        )
-        unpooled = CandidateProbe(
-            abstraction, trace, ["r4"], incremental=False
-        )
-        assert unpooled.session is not pooled.session
-        assert unpooled.outcome(["r4"]) is AtpgOutcome.UNSATISFIABLE
-        assert unpooled.outcome([]) is AtpgOutcome.TRACE_FOUND
+        # A retry of the step probes on the pooled union session.
+        probe = CandidateProbe(abstraction, trace, ["r1", "r2", "r4"])
+        assert created == [("r1", "r2", "r4")]
+        assert probe.outcome(["r4"]) is AtpgOutcome.UNSATISFIABLE
+        assert probe.outcome([]) is AtpgOutcome.TRACE_FOUND
 
     def test_sat_answers_are_replayed(self, monkeypatch):
         """A model whose active register disagrees with its data input
         one cycle earlier is an encoding bug, not a trace."""
+        clear_caches()
         abstraction, trace = chain_abstraction()
-        probe = CandidateProbe(
-            abstraction, trace, ["r2", "r3", "r4"], incremental=False
-        )
+        probe = CandidateProbe(abstraction, trace, ["r2", "r3", "r4"])
         real_solve = probe.session.solve
         flipped = probe.session.unroller.lit("r3", 1)
 
