@@ -17,7 +17,7 @@ and clause order are byte-identical to a cold gate-by-gate encoding.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.kernel.perf import PERF
 from repro.kernel.scache import frame_template

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.kernel.bitsim import BitParallelSimulator, pack_value
+from repro.kernel.bitsim import BitParallelSimulator
 from repro.kernel.perf import PERF
 from repro.kernel.scache import solver_session
 from repro.obs import tracer as obs
@@ -296,19 +296,13 @@ def check_trace(
     encoding and the simulator; a failure indicates a bug, not an
     analysis result.
     """
-    sim = BitParallelSimulator(circuit)
     driven = list(driven)
-    state = {
-        name: pack_value(value, 1) for name, value in trace.states[0].items()
-    }
-    for cycle in range(trace.length):
-        drive = {
-            name: pack_value(value, 1)
-            for name, value in trace.inputs[cycle].items()
-        }
-        for name in driven:
-            drive[name] = pack_value(trace.states[cycle][name], 1)
-        frame = sim.evaluate(state, drive, 1)
+    stimulus = [
+        {**cube, **{name: state[name] for name in driven}}
+        for cube, state in zip(trace.inputs, trace.states)
+    ]
+    frames = BitParallelSimulator(circuit).replay(trace.states[0], stimulus)
+    for cycle, frame in enumerate(frames):
         for name, expected in trace.states[cycle].items():
             if frame.value(name) != expected:
                 raise AssertionError(
@@ -323,4 +317,3 @@ def check_trace(
                     f"cube/simulation mismatch for {name!r} at cycle "
                     f"{cycle}: cube {expected}, simulated {frame.value(name)}"
                 )
-        state = sim.next_state(frame)

@@ -40,6 +40,7 @@ from repro.aig import aig_to_circuit, circuit_to_aig, parse_aiger, to_aiger
 from repro.aig.convert import strash_circuit
 from repro.core import RfnConfig, UnreachabilityProperty, rfn_verify
 from repro.engine import (
+    EXIT_USAGE,
     Limits,
     Verdict,
     batch_exit,
@@ -142,24 +143,14 @@ def cmd_stats(args) -> int:
 
 
 def _print_perf_profile(circuit, lanes: int, cycles: int) -> None:
-    """Measure interpreted vs bit-parallel throughput on the loaded
-    design and dump the kernel's perf counters."""
+    """Measure bit-parallel simulation throughput on the loaded design
+    and dump the kernel's perf counters."""
     import time as _time
 
     from repro.kernel import PERF, BitParallelSimulator, pack_bits
-    from repro.sim import Simulator
 
     rng = __import__("random").Random(0)
     PERF.reset()
-
-    sim = Simulator(circuit)
-    state = sim.initial_state(default=0)
-    start = _time.perf_counter()
-    for _ in range(cycles):
-        inputs = {n: rng.randint(0, 1) for n in circuit.inputs}
-        _, state = sim.step(state, inputs)
-    interp_s = _time.perf_counter() - start
-    interp_pps = cycles / interp_s if interp_s > 0 else float("inf")
 
     bitsim = BitParallelSimulator(circuit)
     packed = bitsim.initial_state(lanes, default=0)
@@ -174,9 +165,7 @@ def _print_perf_profile(circuit, lanes: int, cycles: int) -> None:
     kernel_pps = lanes * cycles / kernel_s if kernel_s > 0 else float("inf")
 
     print(f"simulation throughput ({cycles} cycles):")
-    print(f"  interpreted:  {interp_pps:,.0f} patterns/s")
-    print(f"  bit-parallel: {kernel_pps:,.0f} patterns/s ({lanes} lanes, "
-          f"{kernel_pps / interp_pps:.1f}x)" if interp_pps else "")
+    print(f"  bit-parallel: {kernel_pps:,.0f} patterns/s ({lanes} lanes)")
     print(PERF.format())
 
 
@@ -1200,7 +1189,12 @@ def _partial_report() -> Dict[str, object]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 2 on a usage error, which the ladder reserves
+        # for inconclusive verdicts; --help exits 0 and stays so.
+        return EXIT_USAGE if exit_.code else 0
     _PARTIAL.clear()
     trace_path = getattr(args, "trace", None)
     try:

@@ -16,7 +16,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.ops import (
-    coi_registers,
     extract_subcircuit,
     register_dependency_graph,
     support_of,

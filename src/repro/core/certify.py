@@ -13,11 +13,10 @@ paper's two formal technologies:
   engine's theorem.
 
 A certified FALSIFIED answer is simpler: the concrete error trace is
-replayed from its initial state and must visit a bad state.  Replay runs
-on the bit-parallel kernel simulator by default (``simulator="kernel"``);
-the interpreted levelized simulator remains available as an independent
-second replay path (``simulator="interpreted"``), and the two are pinned
-to identical certificates by the test suite.
+replayed from its initial state on the kernel simulator
+(:meth:`repro.kernel.BitParallelSimulator.replay`) and must visit a bad
+state.  The test suite pins its certificates to a replay on the
+interpreted reference simulator.
 
 This is both a user-facing audit feature and a ruthless internal
 consistency check (any soundness bug in the BDD engine, the encoder or
@@ -28,18 +27,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.atpg.encode import Unroller
 from repro.bdd import Function
 from repro.core.property import UnreachabilityProperty
-from repro.kernel.bitsim import BitParallelSimulator, pack_lanes, pack_lanes_masked
+from repro.kernel.bitsim import BitParallelSimulator
 from repro.kernel.scache import solver_session
 from repro.trace import Trace
 from repro.mc.encode import SymbolicEncoding
 from repro.netlist.circuit import Circuit
 from repro.sat.solver import SatStatus
-from repro.sim.simulator import Simulator
 
 
 class CertificateStatus(enum.Enum):
@@ -225,48 +223,13 @@ def certify_invariant(
     return Certificate(status=status, obligations=obligations)
 
 
-def _replay_interpreted(circuit: Circuit, trace: Trace):
-    """Per-cycle full valuations through the interpreted simulator."""
-    sim = Simulator(circuit)
-    state = dict(trace.states[0])
-    for cycle in range(trace.length):
-        values, state = sim.step(state, trace.inputs[cycle])
-        yield values
-
-
-def _replay_kernel(circuit: Circuit, trace: Trace):
-    """Per-cycle full valuations through the bit-parallel kernel, one
-    lane, with the trace-replay register-override convention preserved
-    via the lane assignment masks."""
-    sim = BitParallelSimulator(circuit)
-    state = pack_lanes([dict(trace.states[0])])
-    for cycle in range(trace.length):
-        inputs, masks = pack_lanes_masked([trace.inputs[cycle]])
-        frame = sim.evaluate(state, inputs, 1, input_masks=masks)
-        state = sim.next_state(frame)
-        yield frame.lane_valuation(0)
-
-
 def certify_error_trace(
     circuit: Circuit,
     prop: UnreachabilityProperty,
     trace: Trace,
-    simulator: str = "kernel",
 ) -> Certificate:
-    """Replay a concrete error trace on a simulator; it must visit a
-    bad state and start in a legal initial state.
-
-    ``simulator`` picks the replay engine: ``"kernel"`` (default, the
-    bit-parallel compiled path) or ``"interpreted"`` (the levelized
-    reference simulator).  Both are certified equivalent, so the choice
-    only matters when auditing one of them against the other.
-    """
-    if simulator == "kernel":
-        replay = _replay_kernel(circuit, trace)
-    elif simulator == "interpreted":
-        replay = _replay_interpreted(circuit, trace)
-    else:
-        raise ValueError(f"unknown replay simulator {simulator!r}")
+    """Replay a concrete error trace on the kernel simulator; it must
+    visit a bad state and start in a legal initial state."""
     obligations: Dict[str, str] = {}
     state = dict(trace.states[0])
     legal_init = all(
@@ -278,8 +241,9 @@ def certify_error_trace(
         else "FAILS: trace starts outside the initial states"
     )
     visited_bad = False
-    for cycle, values in enumerate(replay):
-        if prop.holds_in_state(values):
+    replay = BitParallelSimulator(circuit).replay(state, trace.inputs)
+    for cycle, frame in enumerate(replay):
+        if prop.holds_in_state(frame):
             visited_bad = True
             obligations["bad-state"] = f"reached at cycle {cycle}"
             break

@@ -19,16 +19,15 @@ is supported: pass several candidate traces and each is tried in turn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence
 
-from repro.atpg.engine import AtpgBudget, AtpgOutcome, AtpgResult, sequential_atpg
+from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
 from repro.core.property import UnreachabilityProperty
+from repro.kernel.bitsim import BitParallelSimulator
 from repro.kernel.scache import coi_model
 from repro.trace import Trace
 from repro.netlist.circuit import Circuit
-from repro.sim.logic3 import ONE, X
-from repro.sim.simulator import Simulator
 
 
 @dataclass
@@ -63,26 +62,7 @@ def replay_trace(
     trace is as good as another for replay purposes); the check itself is
     a plain 2-valued simulation.
     """
-    sim = Simulator(original)
-    state = sim.initial_state(default=0)
-    states: List[dict] = []
-    inputs: List[dict] = []
-    for cycle in range(trace.length):
-        vector = {name: 0 for name in original.inputs}
-        vector.update(
-            {
-                name: value
-                for name, value in trace.inputs[cycle].items()
-                if original.is_input(name)
-            }
-        )
-        states.append(dict(state))
-        inputs.append(vector)
-        values, state = sim.step(state, vector)
-        if prop.holds_in_state(values):
-            return Trace(states=states, inputs=inputs,
-                         circuit_name=original.name)
-    return None
+    return _drive_inputs(original, trace, {}, prop)
 
 
 def guided_concrete_search(
@@ -166,27 +146,39 @@ def _lift_trace(original: Circuit, reduced: Circuit, trace: Trace) -> Trace:
     """Extend a COI-subcircuit trace to the original design: inputs outside
     the COI are driven to 0, registers outside evolve from their reset
     values under simulation."""
-    sim = Simulator(original)
-    state = sim.initial_state(default=0)
-    state.update(
-        {
-            name: value
-            for name, value in trace.states[0].items()
-            if original.is_register_output(name)
-        }
-    )
+    return _drive_inputs(original, trace, trace.states[0])
+
+
+def _drive_inputs(
+    original: Circuit,
+    trace: Trace,
+    start: Mapping[str, int],
+    prop: Optional[UnreachabilityProperty] = None,
+) -> Optional[Trace]:
+    """Drive the trace's primary-input assignments (unassigned inputs at
+    0) on ``original`` from its reset state (free-init registers at 0),
+    with the registers ``start`` assigns taking its values, and record
+    the concrete run.  With ``prop`` the run stops at the first bad
+    state and is returned up to it, or ``None`` when no bad state is
+    visited; without, the whole run is returned."""
+    state = {
+        name: start.get(name, 0 if reg.init is None else reg.init)
+        for name, reg in original.registers.items()
+    }
+    vectors = [
+        {name: cube.get(name, 0) for name in original.inputs}
+        for cube in trace.inputs
+    ]
     states: List[dict] = []
-    inputs: List[dict] = []
-    for cycle in range(trace.length):
-        vector = {name: 0 for name in original.inputs}
-        vector.update(
-            {
-                name: value
-                for name, value in trace.inputs[cycle].items()
-                if original.is_input(name)
-            }
-        )
-        states.append(dict(state))
-        inputs.append(vector)
-        _, state = sim.step(state, vector)
-    return Trace(states=states, inputs=inputs, circuit_name=original.name)
+    for frame in BitParallelSimulator(original).replay(state, vectors):
+        states.append({name: frame.value(name) for name in original.registers})
+        if prop is not None and prop.holds_in_state(frame):
+            break
+    else:
+        if prop is not None:
+            return None
+    return Trace(
+        states=states,
+        inputs=vectors[: len(states)],
+        circuit_name=original.name,
+    )

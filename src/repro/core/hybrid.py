@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.atpg.engine import AtpgBudget, AtpgOutcome, combinational_atpg
 from repro.trace import Trace

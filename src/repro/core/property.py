@@ -14,7 +14,7 @@ combinational "bad condition" is turned into a state property by a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 from repro.netlist.circuit import Circuit, NetlistError
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.atpg.engine import AtpgBudget
 from repro.engine.verdict import Verdict

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.property import UnreachabilityProperty
 from repro.designs.cpu import CpuParams, build_cpu

@@ -11,7 +11,9 @@ of the real workloads.
 Everything is derived from one ``random.Random(seed)`` stream: the same
 ``(seed, GenConfig)`` pair always yields the identical circuit and
 property, which is what makes corpus reproducers and CI fuzz smoke runs
-stable across machines.
+stable across machines.  The rare-cube mode's random walk runs on the
+kernel simulator; a test holds it to the instances an interpreted walk
+derives.
 
 Sizes are deliberately bounded so that the explicit-state kernel engine
 of :mod:`repro.fuzz.oracle` remains a complete ground truth: total
@@ -22,10 +24,11 @@ exhaustively enumerable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.property import UnreachabilityProperty, watchdog_property
+from repro.kernel.bitsim import BitParallelSimulator
 from repro.netlist.cell import GateOp
 from repro.netlist.circuit import Circuit
 from repro.netlist.words import (
@@ -35,7 +38,6 @@ from repro.netlist.words import (
     w_mux,
     w_shift_in,
 )
-from repro.sim.simulator import Simulator
 
 # Gate ops the generator draws from, weighted roughly by how often they
 # appear in the synthesized benchmark designs.
@@ -208,22 +210,28 @@ def _rare_cube_property(
     circuit: Circuit, rng: random.Random, config: GenConfig, seed: int
 ) -> UnreachabilityProperty:
     """A cube over a few registers that a short random walk (on the
-    interpreted reference simulator) never visited.  Such cubes are
-    either genuinely unreachable or reachable only along narrow paths --
-    both the interesting cases for engine disagreement."""
+    kernel simulator) never visited.  Such cubes are either genuinely
+    unreachable or reachable only along narrow paths -- both the
+    interesting cases for engine disagreement.
+
+    The rng draws -- free-init registers, then each cycle's inputs in
+    ``circuit.inputs`` order -- are part of the instance: reordering
+    them changes every rare-cube instance a seed names."""
     registers = list(circuit.registers)
     count = min(len(registers), rng.randint(2, config.rare_cube_registers))
     chosen = rng.sample(registers, count)
-    sim = Simulator(circuit)
     state = {
         name: (reg.init if reg.init is not None else rng.randint(0, 1))
         for name, reg in circuit.registers.items()
     }
     seen = {tuple(state[r] for r in chosen)}
-    for _ in range(config.rare_cube_sim_cycles):
-        inputs = {name: rng.randint(0, 1) for name in circuit.inputs}
-        _, state = sim.step(state, inputs)
-        seen.add(tuple(state[r] for r in chosen))
+    walk = (
+        {name: rng.randint(0, 1) for name in circuit.inputs}
+        for _ in range(config.rare_cube_sim_cycles)
+    )
+    data = [circuit.registers[r].data for r in chosen]
+    for frame in BitParallelSimulator(circuit).replay(state, walk):
+        seen.add(tuple(frame.value(d) for d in data))
     unseen = [
         bits
         for bits in itertools_product_bits(count)

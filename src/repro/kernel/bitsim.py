@@ -22,7 +22,11 @@ arbitrary precision, ``lanes`` can be 64, 256 or 4096.
 The public API mirrors :class:`repro.sim.Simulator`: states and inputs
 are mappings from signal names, unassigned signals default to X, and
 explicit input assignments to register outputs override the state (the
-trace-replay convention of Section 2.4).
+trace-replay convention of Section 2.4).  It is the one simulator on
+production paths: :meth:`BitParallelSimulator.replay` serves the
+single-lane replays (guided search, certification, the ATPG trace
+check, the fuzz generator's walk, random runs), and the interpreted
+simulator is kept as the reference the tests hold this module to.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from repro.kernel.compile import (
     OP_AND,
     OP_BUF,
     OP_CONST0,
-    OP_CONST1,
     OP_MUX,
     OP_NAND,
     OP_NOR,
@@ -154,6 +157,15 @@ class Frame:
     def value(self, name: str, lane: int = 0) -> int:
         return planes_value(self.planes(name), lane)
 
+    def get(self, name: str, default: Optional[int] = None) -> Optional[int]:
+        """Lane-0 value of ``name``, or ``default`` when the circuit has
+        no such signal: the ``Mapping.get`` of a valuation, so
+        ``UnreachabilityProperty.holds_in_state`` reads a frame as is."""
+        idx = self._cc.index.get(name)
+        if idx is None:
+            return default
+        return planes_value((self.f0[idx], self.f1[idx]), 0)
+
     def lanes_equal(self, name: str, value: int) -> int:
         """Bitmask of lanes in which ``name`` is exactly ``value``."""
         f0, f1 = self.planes(name)
@@ -203,7 +215,7 @@ class BitParallelSimulator:
 
     @property
     def compiled(self) -> CompiledCircuit:
-        if not self._cc.is_current():
+        if not self._cc.is_current(self.circuit):
             self._cc = compiled(self.circuit)
         return self._cc
 
@@ -364,6 +376,32 @@ class BitParallelSimulator:
             yield frame
 
     # -- name-level conveniences ---------------------------------------
+
+    def replay(
+        self,
+        state: Mapping[str, int],
+        input_sequence: Iterable[Mapping[str, int]],
+    ) -> Iterator[Frame]:
+        """Single-lane, name-level run: the kernel counterpart of
+        ``Simulator.iter_run``.
+
+        ``state`` is a scalar register valuation (registers it omits
+        start at X).  Each cycle's input mapping assigns primary inputs
+        (missing ones are X) and may name register outputs, which then
+        override the latched state for that cycle -- the trace-replay
+        convention of Section 2.4.  One :class:`Frame` is yielded per
+        cycle, and nothing is simulated past the point the consumer
+        stops iterating.
+        """
+        current = {name: pack_value(value, 1) for name, value in state.items()}
+        for inputs in input_sequence:
+            frame = self.evaluate(
+                current,
+                {name: pack_value(value, 1) for name, value in inputs.items()},
+                1,
+            )
+            current = self.next_state(frame)
+            yield frame
 
     def evaluate_cubes(
         self,

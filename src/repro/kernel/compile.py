@@ -52,9 +52,13 @@ PlanRow = Tuple[int, int, Tuple[int, ...]]
 
 @dataclass
 class CompiledCircuit:
-    """Flat, index-based view of one circuit at one mutation generation."""
+    """Flat, index-based view of one circuit at one mutation generation.
 
-    circuit: Circuit
+    It holds the circuit's name, not the circuit: the structural cache
+    keys its entries weakly by circuit, and a strong reference from the
+    value back to its own key would keep every compiled circuit alive."""
+
+    name: str
     generation: int
     names: List[str] = field(default_factory=list)  # index -> signal name
     index: Dict[str, int] = field(default_factory=dict)  # name -> index
@@ -77,18 +81,19 @@ class CompiledCircuit:
             return self.index[name]
         except KeyError:
             raise KeyError(
-                f"signal {name!r} not in circuit {self.circuit.name!r}"
+                f"signal {name!r} not in circuit {self.name!r}"
             ) from None
 
-    def is_current(self) -> bool:
-        """Does this compilation still describe the circuit?"""
-        return self.generation == self.circuit.generation
+    def is_current(self, circuit: Circuit) -> bool:
+        """Does this compilation still describe ``circuit``, the circuit
+        it was compiled from?"""
+        return self.generation == circuit.generation
 
 
 def compile_circuit_uncached(circuit: Circuit) -> CompiledCircuit:
     """Lower ``circuit`` to flat arrays (always recompiles; callers should
     normally go through :func:`repro.kernel.scache.compiled`)."""
-    cc = CompiledCircuit(circuit=circuit, generation=circuit.generation)
+    cc = CompiledCircuit(name=circuit.name, generation=circuit.generation)
     names = cc.names
     index = cc.index
 

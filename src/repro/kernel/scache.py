@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.kernel.compile import CompiledCircuit, compile_circuit_uncached
 from repro.kernel.perf import PERF

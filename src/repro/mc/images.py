@@ -12,7 +12,7 @@ of the primary inputs will be quantified out early").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.bdd import Function
 from repro.mc.encode import SymbolicEncoding, next_var_name

@@ -15,7 +15,7 @@ These implement the paper's Section 2 machinery:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.netlist.circuit import Circuit, NetlistError
 

@@ -25,7 +25,7 @@ properties and traces forward (and back, via :meth:`SignalMap.inverse`).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.core.property import UnreachabilityProperty
 from repro.netlist.cell import Gate, Register

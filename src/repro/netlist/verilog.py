@@ -29,7 +29,7 @@ word-level convention used by the rest of the library.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.circuit import Circuit, NetlistError

@@ -301,35 +301,42 @@ def job_worker_main(conn, heartbeat, payload: dict) -> None:
     conn.close()
 
 
-def _orphan_pids(records: List[dict]) -> Dict[str, int]:
-    """Worker pids that were in flight when the journal ends: spawned
-    (``worker`` record) but never folded back (``done``/``requeue``).
-    A daemon that was SIGKILLed leaves exactly these as orphans."""
-    live: Dict[str, int] = {}
+def _orphan_workers(
+    records: List[dict],
+) -> Dict[str, Tuple[int, Optional[int]]]:
+    """``(pid, start time)`` of the workers in flight when the journal
+    ends: spawned (``worker`` record) but never folded back
+    (``done``/``requeue``).  A daemon that was SIGKILLed leaves exactly
+    these as orphans."""
+    live: Dict[str, Tuple[int, Optional[int]]] = {}
     for record in records:
         kind = record.get("type")
         if kind == "worker" and record.get("pid"):
-            live[str(record.get("id"))] = int(record["pid"])
+            live[str(record.get("id"))] = (
+                int(record["pid"]), record.get("pid_start")
+            )
         elif kind in ("done", "requeue"):
             live.pop(str(record.get("id")), None)
         elif kind == "snapshot":
             live = {
-                str(spec.get("id")): int(spec["pid"])
+                str(spec.get("id")): (int(spec["pid"]), spec.get("pid_start"))
                 for spec in record.get("jobs", [])
                 if spec.get("state") == RUNNING and spec.get("pid")
             }
     return live
 
 
-def _looks_like_worker(pid: int) -> bool:
-    """Confirm via ``/proc`` that ``pid`` is (still) one of ours before
-    signalling it -- pids get recycled, and a cleanup helper must never
-    shoot an innocent process.  Unreadable /proc means no kill."""
+def _start_time(pid: int) -> Optional[int]:
+    """When ``pid`` started, in clock ticks after boot (field 22 of
+    ``/proc/<pid>/stat``), or None when that cannot be read.  Pids get
+    recycled; a pid together with its start time names one process."""
     try:
-        with open(f"/proc/{pid}/cmdline", "rb") as handle:
-            return b"repro" in handle.read()
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            stat = handle.read()
     except OSError:
-        return False
+        return None
+    # Field 2, the command name, is parenthesized and may hold spaces.
+    return int(stat[stat.rindex(b")") + 2 :].split()[19])
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +593,7 @@ class Daemon:
         )
         process.start()
         child_conn.close()
-        self.store.note_worker(job, process.pid)
+        self.store.note_worker(job, process.pid, _start_time(process.pid))
         self.slots[parent_conn] = _Slot(
             process, parent_conn, heartbeat, job, admitted
         )
@@ -832,8 +839,11 @@ class Daemon:
         try:
             records = self.store.open()
             self.board.load_json(self.store.breaker_payload)
-            for job_id, pid in _orphan_pids(records).items():
-                if pid == os.getpid() or not _looks_like_worker(pid):
+            for job_id, (pid, start) in _orphan_workers(records).items():
+                # Only the very process the dead daemon journaled: a
+                # recycled pid has another start time, and a record
+                # without one identifies nothing.
+                if start is None or _start_time(pid) != start:
                     continue
                 kill_pid(pid, self.config.preempt_grace)
                 obs.event("serve.orphan_killed", job=job_id, pid=pid)

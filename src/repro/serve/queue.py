@@ -98,6 +98,9 @@ class Job:
     state: str = QUEUED
     attempt: int = 0
     pid: Optional[int] = None
+    #: start time of ``pid`` (clock ticks after boot): with the pid it
+    #: names the worker process for orphan cleanup after a restart
+    pid_start: Optional[int] = None
     verdict: Optional[str] = None
     detail: str = ""
     winner: Optional[str] = None
@@ -337,11 +340,17 @@ class JobStore:
             }
         )
 
-    def note_worker(self, job: Job, pid: int) -> None:
-        """Journal the spawned worker's pid (orphan-cleanup anchor for
-        the next daemon if this one is SIGKILLed mid-flight)."""
+    def note_worker(
+        self, job: Job, pid: int, pid_start: Optional[int]
+    ) -> None:
+        """Journal the spawned worker's pid and start time (orphan-cleanup
+        anchor for the next daemon if this one is SIGKILLed mid-flight)."""
         job.pid = pid
-        self.journal.append({"type": "worker", "id": job.id, "pid": pid})
+        job.pid_start = pid_start
+        self.journal.append(
+            {"type": "worker", "id": job.id, "pid": pid,
+             "pid_start": pid_start}
+        )
 
     def requeue(self, job: Job, reason: str) -> bool:
         """Return a failed attempt to the queue with backoff.
@@ -430,6 +439,7 @@ class JobStore:
                 state=job.state,
                 attempt=job.attempt,
                 pid=job.pid,
+                pid_start=job.pid_start,
                 verdict=job.verdict,
                 detail=job.detail,
                 winner=job.winner,

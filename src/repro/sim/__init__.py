@@ -3,8 +3,10 @@
 RFN's refinement step relies on a *3-valued* (0/1/X) simulator: the abstract
 error trace is replayed step-by-step on the original design, with every
 register and primary input not assigned by the trace driven to the unknown
-value X (Section 2.4).  This package provides that simulator, a plain
-2-valued simulator as a special case, and random simulation utilities.
+value X (Section 2.4).  This package holds the readable, interpreted form of
+that simulator -- the reference semantics the tests hold the compiled
+kernel (:mod:`repro.kernel.bitsim`, which every production path runs on)
+to -- and random simulation utilities, which run on the kernel.
 """
 
 from repro.sim.logic3 import ONE, X, ZERO, eval_gate, v_and, v_mux, v_not, v_or, v_xor

@@ -4,12 +4,11 @@ Used as a cheap semantic oracle in tests (cross-checking the BDD and ATPG
 engines against concrete runs) and for marking reachable coverage states in
 the coverage-analysis flow (Section 3: "mark the reached coverage states").
 
-The heavy lifting runs on the bit-parallel kernel
-(:class:`repro.kernel.BitParallelSimulator`): ``sample_reachable_projections``
-packs every run into its own lane and sweeps the compiled circuit once per
-cycle, so sampling 64 runs costs roughly one interpreted run.  The
-interpreted :class:`Simulator` stays available as a reference oracle via
-``use_kernel=False``.
+Both entry points run on the bit-parallel kernel
+(:class:`repro.kernel.BitParallelSimulator`): ``random_run`` is a
+single-lane replay, and ``sample_reachable_projections`` packs every run
+into its own lane and sweeps the compiled circuit once per cycle, so
+sampling 64 runs costs roughly one single-lane run.
 """
 
 from __future__ import annotations
@@ -19,20 +18,16 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.kernel.bitsim import BitParallelSimulator, pack_bits, pack_value
 from repro.netlist.circuit import Circuit
-from repro.sim.simulator import Simulator, Valuation
+from repro.sim.simulator import Valuation
 
 
 class RandomSimulator:
     """Drives a circuit with uniformly random primary-input vectors."""
 
-    def __init__(
-        self, circuit: Circuit, seed: int = 0, use_kernel: bool = True
-    ) -> None:
+    def __init__(self, circuit: Circuit, seed: int = 0) -> None:
         self.circuit = circuit
-        self.sim = Simulator(circuit)
         self.rng = random.Random(seed)
-        self.use_kernel = use_kernel
-        self._bitsim = BitParallelSimulator(circuit) if use_kernel else None
+        self._bitsim = BitParallelSimulator(circuit)
 
     def random_inputs(self) -> Valuation:
         return {name: self.rng.randint(0, 1) for name in self.circuit.inputs}
@@ -45,25 +40,15 @@ class RandomSimulator:
         """Simulate ``cycles`` random input vectors; returns the per-cycle
         full valuations.  Free-init registers are randomized."""
         if state is None:
-            state = self.sim.initial_state(default=0)
-            for name, reg in self.circuit.registers.items():
-                if reg.init is None:
-                    state[name] = self.rng.randint(0, 1)
-        input_sequence = [self.random_inputs() for _ in range(cycles)]
-        if self._bitsim is None:
-            return self.sim.run(input_sequence, state)
-        bitsim = self._bitsim
-        packed_state = {
-            name: pack_value(value, 1) for name, value in state.items()
-        }
-        frames: List[Valuation] = []
-        for inputs in input_sequence:
-            packed_inputs = {
-                name: pack_value(value, 1) for name, value in inputs.items()
+            state = {
+                name: reg.init if reg.init is not None else self.rng.randint(0, 1)
+                for name, reg in self.circuit.registers.items()
             }
-            frame, packed_state = bitsim.step(packed_state, packed_inputs, 1)
-            frames.append(frame.lane_valuation(0))
-        return frames
+        input_sequence = [self.random_inputs() for _ in range(cycles)]
+        return [
+            frame.lane_valuation(0)
+            for frame in self._bitsim.replay(state, input_sequence)
+        ]
 
     def _random_lane_states(self, lanes: int) -> Dict[str, Tuple[int, int]]:
         """Packed reset state with free-init registers randomized per lane."""
@@ -84,12 +69,9 @@ class RandomSimulator:
         """Run ``runs`` random simulations and collect every valuation of
         ``signals`` observed at the *start* of each cycle (i.e. in reachable
         states).  The reset-state projection is included."""
-        sig_list = list(signals)
-        if self._bitsim is None:
-            return self._sample_interpreted(sig_list, runs, cycles)
         bitsim = self._bitsim
         cc = bitsim.compiled
-        indices = [cc.index_of(s) for s in sig_list]
+        indices = [cc.index_of(s) for s in signals]
         seen: Set[Tuple[int, ...]] = set()
         state = self._random_lane_states(runs)
         for _ in range(cycles):
@@ -101,22 +83,3 @@ class RandomSimulator:
             for lane in range(runs):
                 seen.add(frame.project(indices, lane))
         return seen
-
-    def _sample_interpreted(
-        self, sig_list: List[str], runs: int, cycles: int
-    ) -> Set[Tuple[int, ...]]:
-        """Reference-oracle path: one interpreted run per sample."""
-        seen: Set[Tuple[int, ...]] = set()
-        for _ in range(runs):
-            state = self.sim.initial_state(default=0)
-            for name, reg in self.circuit.registers.items():
-                if reg.init is None:
-                    state[name] = self.rng.randint(0, 1)
-            for _ in range(cycles):
-                values, state = self.sim.step(state, self.random_inputs())
-                seen.add(self._project(values, sig_list))
-        return seen
-
-    @staticmethod
-    def _project(values: Dict[str, int], signals: List[str]) -> Tuple[int, ...]:
-        return tuple(values[s] for s in signals)

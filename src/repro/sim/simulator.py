@@ -5,9 +5,12 @@ order (levelized event-free simulation).  Values are the 3-valued constants
 from :mod:`repro.sim.logic3`; a 2-valued simulation is just a run in which
 no X is ever injected.
 
-This is the engine behind Step 4 of RFN: "we simulate step-by-step on the
-original gate-level design the error trace of the abstract model" with
-unassigned registers and inputs at X (Section 2.4).
+It is the reference semantics of Step 4 of RFN: "we simulate step-by-step
+on the original gate-level design the error trace of the abstract model"
+with unassigned registers and inputs at X (Section 2.4).  The program
+itself runs that step on the compiled kernel
+(:class:`repro.kernel.BitParallelSimulator`); the tests, benchmarks and
+examples use this simulator as the oracle it must agree with.
 """
 
 from __future__ import annotations

@@ -261,6 +261,29 @@ class TestParseErrorExitCode:
         assert main(["stats", str(path)]) == 2
 
 
+class TestUsageErrorExitCode:
+    """Argument errors exit 3, the ladder's usage code; argparse's own 2
+    would read as an inconclusive verdict."""
+
+    def test_unknown_flag(self, true_netlist, capsys):
+        path, wd = true_netlist
+        assert main(["verify", path, "--watchdog", wd, "--frobnicate"]) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unknown_subcommand(self, capsys):
+        assert main(["frobnicate"]) == 3
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_missing_positional(self, capsys):
+        assert main(["verify"]) == 3
+        assert "required" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["verify", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestServeCli:
     def test_submit_serve_status_roundtrip(
         self, true_netlist, tmp_path, capsys

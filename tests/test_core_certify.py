@@ -1,10 +1,9 @@
 """Tests for SAT-based certification of verification results."""
 
-import pytest
-
 from repro.core import RFN, watchdog_property
 from repro.engine import Verdict
 from repro.core.certify import (
+    Certificate,
     CertificateStatus,
     certify_error_trace,
     certify_invariant,
@@ -13,6 +12,7 @@ from repro.trace import Trace
 from repro.mc import ImageComputer, SymbolicEncoding, forward_reach
 from repro.netlist import Circuit
 from repro.netlist.words import WordReg, w_eq_const, w_inc
+from repro.sim import Simulator
 
 from tests.conftest import saturating_counter
 
@@ -132,9 +132,42 @@ class TestTraceCertification:
         assert "FAILS" in cert.obligations["initial-state"]
 
 
+def interpreted_certificate(circuit, prop, trace) -> Certificate:
+    """Reference for ``certify_error_trace``: the same obligations, with
+    the trace replayed on the interpreted simulator instead of the
+    kernel."""
+    state = dict(trace.states[0])
+    legal_init = all(
+        reg.init is None or state.get(name, reg.init) == reg.init
+        for name, reg in circuit.registers.items()
+    )
+    obligations = {
+        "initial-state": (
+            "matches declared init values" if legal_init
+            else "FAILS: trace starts outside the initial states"
+        ),
+        "bad-state": "FAILS: never reached",
+    }
+    visited_bad = False
+    for cycle, values in enumerate(
+        Simulator(circuit).iter_run(trace.inputs, state)
+    ):
+        if prop.holds_in_state(values):
+            visited_bad = True
+            obligations["bad-state"] = f"reached at cycle {cycle}"
+            break
+    ok = legal_init and visited_bad
+    return Certificate(
+        status=(
+            CertificateStatus.CERTIFIED if ok else CertificateStatus.FAILED
+        ),
+        obligations=obligations,
+    )
+
+
 class TestReplaySimulatorPinning:
-    """The kernel and interpreted replay paths must issue identical
-    certificates -- on good traces, bogus traces, and traces with
+    """The kernel certificate must match a replay on the interpreted
+    reference simulator -- on good traces, bogus traces, and traces with
     partially-specified inputs (3-valued replay)."""
 
     def _falsified_trace(self):
@@ -150,8 +183,8 @@ class TestReplaySimulatorPinning:
 
     def test_good_trace_certifies_on_both(self):
         c, prop, trace = self._falsified_trace()
-        kernel = certify_error_trace(c, prop, trace, simulator="kernel")
-        interp = certify_error_trace(c, prop, trace, simulator="interpreted")
+        kernel = certify_error_trace(c, prop, trace)
+        interp = interpreted_certificate(c, prop, trace)
         assert kernel.ok and interp.ok
         assert kernel.obligations == interp.obligations
 
@@ -161,10 +194,8 @@ class TestReplaySimulatorPinning:
             states=[{name: 0 for name in circuit.registers}],
             inputs=[{}],
         )
-        kernel = certify_error_trace(circuit, prop, bogus, simulator="kernel")
-        interp = certify_error_trace(
-            circuit, prop, bogus, simulator="interpreted"
-        )
+        kernel = certify_error_trace(circuit, prop, bogus)
+        interp = interpreted_certificate(circuit, prop, bogus)
         assert kernel.status is CertificateStatus.FAILED
         assert interp.status is CertificateStatus.FAILED
         assert kernel.obligations == interp.obligations
@@ -184,15 +215,7 @@ class TestReplaySimulatorPinning:
             states=[{"r": 0, wd: 0}, {"r": 1, wd: 0}, {"r": 1, wd: 1}],
             inputs=[{}, {}, {"free": 0}],
         )
-        kernel = certify_error_trace(c, prop, trace, simulator="kernel")
-        interp = certify_error_trace(c, prop, trace, simulator="interpreted")
+        kernel = certify_error_trace(c, prop, trace)
+        interp = interpreted_certificate(c, prop, trace)
         assert kernel.ok and interp.ok
         assert kernel.obligations == interp.obligations
-
-    def test_unknown_simulator_rejected(self):
-        circuit, prop = saturating_counter()
-        trace = Trace(
-            states=[{name: 0 for name in circuit.registers}], inputs=[{}]
-        )
-        with pytest.raises(ValueError):
-            certify_error_trace(circuit, prop, trace, simulator="verilog")

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.atpg.engine import AtpgBudget
+from repro.core import RFN, guided
 from repro.core.guided import (
     guided_concrete_search,
     replay_trace,
     trace_is_concrete,
 )
 from repro.core.property import watchdog_property
+from repro.designs import table1_workloads
+from repro.engine import Verdict
+from repro.fuzz.gen import generate_instance
 from repro.trace import Trace
 from repro.netlist import Circuit
 from repro.netlist.words import WordReg, w_eq, w_eq_const, w_inc, word_input
@@ -138,3 +142,100 @@ class TestGuidedSearch:
         guide = self.abstract_trace(c, prop, 8)  # one cycle short
         result = guided_concrete_search(c, prop, [guide], extra_depth=1)
         assert result.found
+
+
+# ----------------------------------------------------------------------
+# Kernel replay pinned to the interpreted reference
+# ----------------------------------------------------------------------
+
+
+def _input_vector(original, cube):
+    vector = {name: 0 for name in original.inputs}
+    vector.update(
+        {name: value for name, value in cube.items() if original.is_input(name)}
+    )
+    return vector
+
+
+def interpreted_replay(original, prop, trace):
+    """Reference for ``replay_trace``: its loop on the interpreted
+    simulator."""
+    sim = Simulator(original)
+    state = sim.initial_state(default=0)
+    states, inputs = [], []
+    for cycle in range(trace.length):
+        vector = _input_vector(original, trace.inputs[cycle])
+        states.append(dict(state))
+        inputs.append(vector)
+        values, state = sim.step(state, vector)
+        if prop.holds_in_state(values):
+            return Trace(states=states, inputs=inputs,
+                         circuit_name=original.name)
+    return None
+
+
+def interpreted_lift(original, reduced, trace):
+    """Reference for ``_lift_trace``: its loop on the interpreted
+    simulator."""
+    sim = Simulator(original)
+    state = sim.initial_state(default=0)
+    state.update(
+        {
+            name: value
+            for name, value in trace.states[0].items()
+            if original.is_register_output(name)
+        }
+    )
+    states, inputs = [], []
+    for cycle in range(trace.length):
+        vector = _input_vector(original, trace.inputs[cycle])
+        states.append(dict(state))
+        inputs.append(vector)
+        _, state = sim.step(state, vector)
+    return Trace(states=states, inputs=inputs, circuit_name=original.name)
+
+
+class TestReplayPinnedToInterpreted:
+    """Every direct replay and every lift RFN performs must return what
+    the interpreted reference returns for the same abstract trace."""
+
+    @pytest.fixture
+    def audited(self, monkeypatch):
+        calls = {"replay": 0, "found": 0, "lift": 0}
+        kernel_replay = guided.replay_trace
+        kernel_lift = guided._lift_trace
+
+        def replay(original, prop, trace):
+            got = kernel_replay(original, prop, trace)
+            assert got == interpreted_replay(original, prop, trace)
+            calls["replay"] += 1
+            calls["found"] += got is not None
+            return got
+
+        def lift(original, reduced, trace):
+            got = kernel_lift(original, reduced, trace)
+            assert got == interpreted_lift(original, reduced, trace)
+            calls["lift"] += 1
+            return got
+
+        monkeypatch.setattr(guided, "replay_trace", replay)
+        monkeypatch.setattr(guided, "_lift_trace", lift)
+        return calls
+
+    def test_table1_properties(self, audited):
+        for workload in table1_workloads():
+            result = RFN(workload.circuit, workload.prop).run()
+            assert (result.status is Verdict.VERIFIED) == workload.expected
+        assert audited["replay"] >= 20
+        assert audited["found"] >= 1  # error_flag falls to direct replay
+
+    def test_refining_fuzz_seeds(self, audited):
+        refined = 0
+        for seed in range(120):
+            instance = generate_instance(seed)
+            result = RFN(instance.circuit, instance.prop).run()
+            refined += len(result.iterations) > 1
+        assert refined >= 20
+        assert audited["replay"] >= 100
+        assert audited["found"] >= 10
+        assert audited["lift"] >= 5

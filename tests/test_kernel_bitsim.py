@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.designs import table1_workloads
+from repro.fuzz.gen import generate_circuit
 from repro.kernel import (
     BitParallelSimulator,
     pack_bits,
@@ -174,6 +175,24 @@ class TestLibraryEquivalence:
             inputs.append(cube)
         _assert_lanes_match(circuit, states, inputs)
 
+    def test_replay_matches_iter_run(self, name, circuit):
+        """The single-lane name-level replay against ``iter_run``: a
+        random 3-valued start state and stimulus, with register
+        overrides (X included) in about half of the cycles' inputs."""
+        rng = random.Random(sum(map(ord, name)) ^ 0x3C3C)
+        regs = list(circuit.registers)
+        state = _random_cube(rng, regs)
+        stimulus = []
+        for _ in range(8):
+            cube = _random_cube(rng, circuit.inputs)
+            if rng.random() < 0.5:
+                for n in rng.sample(regs, k=min(3, len(regs))):
+                    cube[n] = rng.choice(VALUES)
+            stimulus.append(cube)
+        expected = list(Simulator(circuit).iter_run(stimulus, state))
+        frames = BitParallelSimulator(circuit).replay(state, stimulus)
+        assert [frame.lane_valuation(0) for frame in frames] == expected
+
     def test_initial_state_matches(self, name, circuit):
         ref = Simulator(circuit).initial_state()
         packed = BitParallelSimulator(circuit).initial_state(3)
@@ -181,6 +200,26 @@ class TestLibraryEquivalence:
         for reg, planes in packed.items():
             for lane in range(3):
                 assert planes_value(planes, lane) == ref[reg]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_replay_matches_iter_run_on_fuzz_circuits(seed):
+    """Same check over generated circuits, which mix every gate op with
+    register feedback; 16 cycles, overrides in about a third."""
+    circuit, _ = generate_circuit(seed)
+    rng = random.Random(seed)
+    regs = list(circuit.registers)
+    state = _random_cube(rng, regs)
+    stimulus = []
+    for _ in range(16):
+        cube = _random_cube(rng, circuit.inputs)
+        if rng.random() < 0.35:
+            for n in rng.sample(regs, k=min(2, len(regs))):
+                cube[n] = rng.choice(VALUES)
+        stimulus.append(cube)
+    expected = list(Simulator(circuit).iter_run(stimulus, state))
+    frames = BitParallelSimulator(circuit).replay(state, stimulus)
+    assert [frame.lane_valuation(0) for frame in frames] == expected
 
 
 class TestFrameHelpers:
@@ -244,6 +283,36 @@ class TestStreamingRun:
         assert first["q"] == 0 and first["nq"] == 1
         second = next(it)
         assert second["q"] == 1
+
+    def test_replay_stops_when_the_caller_stops(self):
+        c = self._toggler()
+        consumed = []
+
+        def stimulus():
+            for t in range(1000):
+                consumed.append(t)
+                yield {}
+
+        frames = BitParallelSimulator(c).replay({"q": 0}, stimulus())
+        first = [frame.value("q") for frame in itertools.islice(frames, 3)]
+        assert first == [0, 1, 0]
+        assert consumed == [0, 1, 2]
+
+    def test_replay_override_wins_for_one_cycle(self):
+        """A register named in a cycle's inputs overrides the latched
+        value in that cycle only; the next cycle latches from it."""
+        c = self._toggler()
+        frames = BitParallelSimulator(c).replay(
+            {"q": 0}, [{}, {"q": 0}, {}, {"q": X}, {}]
+        )
+        assert [frame.value("q") for frame in frames] == [0, 0, 1, X, X]
+
+    def test_frame_get_reads_like_a_valuation(self):
+        c = self._toggler()
+        frame = next(BitParallelSimulator(c).replay({"q": 1}, [{}]))
+        assert frame.get("nq") == 0
+        assert frame.get("missing") is None
+        assert frame.get("missing", X) == X
 
     def test_run_matches_iter_run(self):
         c = self._toggler()

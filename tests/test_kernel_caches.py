@@ -13,11 +13,15 @@ Three properties keep the caches safe to lean on from inside CEGAR:
    difference.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.atpg.encode import Unroller
 from repro.designs import table1_workloads
 from repro.kernel import frame_template
+from repro.kernel import scache
 from repro.kernel.scache import (
     FrameTemplate,
     clear_caches,
@@ -51,8 +55,22 @@ class TestCompiledCache:
         c.add_gate(GateOp.NOT, ["en"], output="nen")
         after = compiled(c)
         assert after is not before
-        assert not before.is_current()
+        assert not before.is_current(c)
         assert "nen" in after.index
+
+    def test_entry_does_not_outlive_its_circuit(self):
+        """Entries are keyed weakly by circuit, so nothing in an entry
+        may hold its own key: a dropped circuit must take its compiled
+        form with it."""
+        c = _toggler_with_and()
+        compiled(c)
+        assert c in scache._ENTRIES
+        alive = weakref.ref(c)
+        entries = len(scache._ENTRIES)
+        del c
+        gc.collect()
+        assert alive() is None
+        assert len(scache._ENTRIES) == entries - 1
 
     def test_compiled_covers_every_signal(self):
         c = _toggler_with_and()

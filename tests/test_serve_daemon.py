@@ -290,35 +290,48 @@ class TestWatchdog:
         assert result["winner"] == "bmc"
 
 
+def _orphan_pids(records):
+    """Job id -> pid of each worker the journal leaves in flight."""
+    from repro.serve.daemon import _orphan_workers
+
+    return {job_id: pid for job_id, (pid, _) in _orphan_workers(records).items()}
+
+
+def _journal_orphan(queue_dir, job, pid, pid_start):
+    """The journal a daemon SIGKILLed mid-job leaves: ``job`` started,
+    its worker journaled as ``pid`` with ``pid_start``."""
+    from repro.serve.journal import Journal
+
+    os.makedirs(os.path.join(queue_dir, "journal"))
+    journal = Journal(os.path.join(queue_dir, "journal"), fsync=False)
+    journal.open()
+    journal.append({"type": "submit", "job": job.spec_json()})
+    journal.append({"type": "start", "id": job.id, "attempt": 1,
+                    "pid": None, "strategies": ["bdd"],
+                    "checkpoint": None})
+    record = {"type": "worker", "id": job.id, "pid": pid}
+    if pid_start is not None:
+        record["pid_start"] = pid_start
+    journal.append(record)
+    journal.close()
+
+
 class TestOrphanCleanup:
     def test_restart_kills_worker_left_by_dead_daemon(self, tmp_path):
         """A SIGKILLed daemon cannot reap its workers.  The journal
-        carries each spawned worker's pid, so the *next* daemon hunts
-        the stragglers down before re-running their jobs."""
-        from repro.serve.daemon import _orphan_pids
-        from repro.serve.journal import Journal
+        carries each spawned worker's pid and start time, so the *next*
+        daemon hunts the stragglers down before re-running their jobs."""
+        from repro.serve.daemon import _start_time
 
         queue_dir = str(tmp_path / "q")
         job = design_job(saturating_counter, "sat")
-        # A stand-in orphan: sleeps forever, and its cmdline contains
-        # "repro" so the identity check accepts it.
+        # A stand-in orphan that sleeps forever, journaled with the start
+        # time read right after it was spawned, as the daemon does.
         orphan = subprocess.Popen(
-            [sys.executable, "-c",
-             "'repro serve worker stand-in'; import time; time.sleep(600)"],
+            [sys.executable, "-c", "import time; time.sleep(600)"],
         )
         try:
-            os.makedirs(os.path.join(queue_dir, "journal"))
-            journal = Journal(
-                os.path.join(queue_dir, "journal"), fsync=False
-            )
-            journal.open()
-            journal.append({"type": "submit", "job": job.spec_json()})
-            journal.append({"type": "start", "id": job.id, "attempt": 1,
-                            "pid": None, "strategies": ["bdd"],
-                            "checkpoint": None})
-            journal.append({"type": "worker", "id": job.id,
-                            "pid": orphan.pid})
-            journal.close()
+            _journal_orphan(queue_dir, job, orphan.pid, _start_time(orphan.pid))
             assert _orphan_pids(replay_dir(
                 os.path.join(queue_dir, "journal")
             )) == {job.id: orphan.pid}
@@ -332,9 +345,52 @@ class TestOrphanCleanup:
                 orphan.kill()
                 orphan.wait()
 
-    def test_finished_workers_are_not_orphans(self, tmp_path):
-        from repro.serve.daemon import _orphan_pids
+    @pytest.mark.parametrize("journaled", ["other start time", "no start time"])
+    def test_restart_spares_process_that_is_not_the_worker(
+        self, tmp_path, journaled
+    ):
+        """The journaled pid is alive but does not carry the journaled
+        start time (a recycled pid), or the record has no start time:
+        the restarted daemon must leave that process alone."""
+        from repro.serve.daemon import _start_time
 
+        queue_dir = str(tmp_path / "q")
+        job = design_job(saturating_counter, "sat")
+        bystander = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(600)"],
+        )
+        try:
+            start = _start_time(bystander.pid)
+            assert start is not None
+            _journal_orphan(
+                queue_dir, job, bystander.pid,
+                start + 1 if journaled == "other start time" else None,
+            )
+            assert Daemon(fast_config(queue_dir)).run() == 0
+            assert bystander.poll() is None
+            assert read_result(queue_dir, job.id)["verdict"] == "verified"
+        finally:
+            bystander.kill()
+            bystander.wait()
+
+    def test_snapshot_carries_worker_start_time(self, tmp_path):
+        """Journal rotation folds the ``worker`` record into a snapshot;
+        the orphan's identity must survive it."""
+        from repro.serve.daemon import _orphan_workers
+        from repro.serve.journal import Journal
+        from repro.serve.queue import JobStore
+
+        job = design_job(saturating_counter, "sat")
+        store = JobStore(Journal(str(tmp_path / "j"), fsync=False))
+        store.open()
+        store.submit(job)
+        store.start(store.claim(), pid=None, strategies=["bdd"])
+        store.note_worker(job, 4242, 987654)
+        assert _orphan_workers(store.snapshot_records()) == {
+            job.id: (4242, 987654)
+        }
+
+    def test_finished_workers_are_not_orphans(self, tmp_path):
         records = [
             {"type": "worker", "id": "a", "pid": 100},
             {"type": "done", "id": "a", "verdict": "verified"},
