@@ -34,7 +34,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.aig import aig_to_circuit, circuit_to_aig, parse_aiger, to_aiger
 from repro.aig.convert import strash_circuit
@@ -103,6 +103,19 @@ def _load(path: str):
         raise NetlistParseError(
             str(error) or type(error).__name__, path=path
         ) from error
+
+
+def _parse_strategies(
+    text: Optional[str], default: Optional[Tuple[str, ...]]
+) -> Optional[Tuple[str, ...]]:
+    """``--strategies``: comma-separated engine names, or ``default``
+    when the flag is absent.  An unknown name is a usage error (exit 3)
+    before anything runs."""
+    if not text:
+        return default
+    return registry.require(
+        name.strip() for name in text.split(",") if name.strip()
+    )
 
 
 def _parse_target(text: str) -> Dict[str, int]:
@@ -191,6 +204,9 @@ def cmd_verify(args) -> int:
                 )
     if args.strategies and args.engine != "portfolio":
         raise ValueError("--strategies only applies to the portfolio engine")
+    from repro.parallel import STRATEGY_ORDER
+
+    strategies = _parse_strategies(args.strategies, STRATEGY_ORDER)
     resume_ckpt = None
     if args.resume:
         resume_ckpt = RfnCheckpoint.load(args.resume)
@@ -258,7 +274,7 @@ def cmd_verify(args) -> int:
             }.get(result.outcome.value, Verdict.UNKNOWN)
         )
     elif args.engine == "portfolio":
-        from repro.parallel import STRATEGY_ORDER, race
+        from repro.parallel import race
 
         budget = (
             Budget(max_seconds=args.timeout)
@@ -266,11 +282,6 @@ def cmd_verify(args) -> int:
             else None
         )
         chaos = ChaosMonkey.parse(args.chaos) if args.chaos else None
-        strategies = (
-            tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-            if args.strategies
-            else STRATEGY_ORDER
-        )
         outcome = race(
             circuit,
             prop,
@@ -680,6 +691,7 @@ def cmd_batch(args) -> int:
     from repro.fuzz.shrink import load_corpus, load_instance
     from repro.parallel import STRATEGY_ORDER
 
+    strategies = _parse_strategies(args.strategies, STRATEGY_ORDER)
     items = []
     for path in args.paths:
         if os.path.isdir(path):
@@ -688,11 +700,6 @@ def cmd_batch(args) -> int:
             items.append((path, load_instance(path)))
     if not items:
         raise ValueError("no corpus instances found in the given paths")
-    strategies = (
-        tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-        if args.strategies
-        else STRATEGY_ORDER
-    )
 
     if args.serve:
         records = _batch_serve(args, items, strategies)
@@ -749,17 +756,14 @@ def cmd_serve(args) -> int:
     from repro.parallel import STRATEGY_ORDER
     from repro.serve import Daemon, ServeConfig
 
-    strategies = (
-        tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-        if args.strategies
-        else STRATEGY_ORDER
-    )
     config = ServeConfig(
         queue_dir=args.queue_dir,
         workers=max(1, args.workers),
         max_queue=args.max_queue,
         default_timeout=args.timeout,
-        default_strategies=strategies,
+        default_strategies=_parse_strategies(
+            args.strategies, STRATEGY_ORDER
+        ),
         hang_seconds=args.hang_seconds,
         heartbeat_timeout=args.heartbeat_timeout,
         rss_limit_mb=args.rss_limit_mb,
@@ -774,16 +778,12 @@ def cmd_serve(args) -> int:
 def cmd_submit(args) -> int:
     from repro.serve import RETRY_LATER, make_job, submit_job, wait_for
 
+    strategies = _parse_strategies(args.strategies, None)
     with open(args.netlist) as handle:
         netlist_text = handle.read()
     target = _parse_target(args.target) if args.target else None
     if args.watchdog:
         target = {args.watchdog: 1}
-    strategies = (
-        [s.strip() for s in args.strategies.split(",") if s.strip()]
-        if args.strategies
-        else None
-    )
     job = make_job(
         netlist_text,
         name=os.path.basename(args.netlist),

@@ -5,9 +5,10 @@ VerifyResult``.  Subclasses implement :meth:`Engine._run`; the public
 :meth:`Engine.run` wraps it with the standard containment the rest of
 the system relies on (contained aborts degrade to ``UNKNOWN`` with an
 :class:`AbortInfo`, crashes degrade to ``ERROR``) and stamps elapsed
-time and the ``PERF`` snapshot.  Callers that do their own containment
--- the portfolio worker, the fuzz oracle -- pass ``contain=False`` and
-keep their historical failure classification byte-for-byte.
+time and the ``PERF`` snapshot.  The portfolio worker runs every
+strategy through that containment (its chaos injection points sit
+inside the contained body); only the fuzz oracle, which classifies
+failures itself, passes ``contain=False``.
 
 Capability tags are advisory labels consumers can filter on: the paper
 distinguishes *formal*, *simulation* and *hybrid* engines, and a
@@ -25,7 +26,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.property import UnreachabilityProperty
 from repro.engine.result import Limits, VerifyResult
@@ -194,6 +195,19 @@ class EngineRegistry:
             raise KeyError(
                 f"unknown engine {name!r} (known: {', '.join(self.names())})"
             ) from None
+
+    def require(self, names: Iterable[str]) -> Tuple[str, ...]:
+        """``names`` as a tuple once every one is registered; a
+        ``ValueError`` (a usage error wherever names enter) lists the
+        unknown ones."""
+        checked = tuple(names)
+        unknown = [name for name in checked if name not in self]
+        if unknown:
+            raise ValueError(
+                f"unknown engine {', '.join(map(repr, unknown))} "
+                f"(known: {', '.join(self.names())})"
+            )
+        return checked
 
     def names(self) -> Tuple[str, ...]:
         self._ensure_loaded()

@@ -23,7 +23,6 @@ from repro.kernel.bitsim import (
     Frame,
     pack_bits,
     pack_lanes,
-    pack_lanes_masked,
     pack_value,
     planes_value,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "frame_template",
     "pack_bits",
     "pack_lanes",
-    "pack_lanes_masked",
     "pack_value",
     "planes_value",
     "static_order",

@@ -93,20 +93,12 @@ def pack_bits(bits: int, lanes: int) -> Planes:
     return (~bits & mask, bits)
 
 
-def pack_lanes_masked(
-    cubes: Sequence[Mapping[str, int]],
-) -> Tuple[PackedCube, Dict[str, int]]:
-    """Pack per-lane cubes (lane ``k`` = ``cubes[k]``) into plane pairs,
-    plus a per-signal *assignment mask* of the lanes that mention it.
-
-    A signal missing from a lane's cube is X in that lane (with its mask
-    bit clear -- an *explicit* X assignment keeps the bit set, which is
-    what lets register overrides distinguish "trace says X" from "trace
-    says nothing"); signals never mentioned are absent from the result."""
-    lanes = len(cubes)
-    mask = (1 << lanes) - 1
+def pack_lanes(cubes: Sequence[Mapping[str, int]]) -> PackedCube:
+    """Pack per-lane cubes (lane ``k`` = ``cubes[k]``) into plane pairs.
+    A signal missing from a lane's cube is X in that lane; signals never
+    mentioned are absent from the result."""
+    mask = (1 << len(cubes)) - 1
     packed: Dict[str, List[int]] = {}
-    assigned: Dict[str, int] = {}
     for lane, cube in enumerate(cubes):
         bit = 1 << lane
         for name, value in cube.items():
@@ -114,20 +106,13 @@ def pack_lanes_masked(
             if planes is None:
                 planes = [mask, mask]  # X in every lane until assigned
                 packed[name] = planes
-                assigned[name] = 0
-            assigned[name] |= bit
             if value == ZERO:
                 planes[1] &= ~bit
             elif value == ONE:
                 planes[0] &= ~bit
             elif value != X:
                 raise ValueError(f"bad 3-valued value {value!r} for {name!r}")
-    return {name: (p[0], p[1]) for name, p in packed.items()}, assigned
-
-
-def pack_lanes(cubes: Sequence[Mapping[str, int]]) -> PackedCube:
-    """Like :func:`pack_lanes_masked` without the assignment masks."""
-    return pack_lanes_masked(cubes)[0]
+    return {name: (p[0], p[1]) for name, p in packed.items()}
 
 
 def planes_value(planes: Planes, lane: int) -> int:
@@ -238,16 +223,12 @@ class BitParallelSimulator:
         state: Mapping[str, Planes],
         inputs: Mapping[str, Planes],
         lanes: int,
-        input_masks: Optional[Mapping[str, int]] = None,
     ) -> Frame:
         """One combinational settle over all lanes.
 
         Mirrors ``Simulator.evaluate``: missing signals are X, and input
-        assignments naming register outputs override ``state``.  When the
-        input planes were packed from per-lane cubes that assign a
-        register in only *some* lanes, pass the assignment masks from
-        :func:`pack_lanes_masked` so unassigned lanes keep the state's
-        value (without masks an input entry overrides every lane).
+        assignments naming register outputs override ``state`` in every
+        lane.
         """
         cc = self.compiled
         start = time.perf_counter()
@@ -268,14 +249,7 @@ class BitParallelSimulator:
         is_reg = self.circuit.is_register_output
         for name, planes in inputs.items():
             if is_reg(name):
-                i = index[name]
-                m = mask if input_masks is None else input_masks.get(name, mask)
-                if m == mask:
-                    f0[i], f1[i] = planes
-                else:
-                    keep = ~m
-                    f0[i] = (f0[i] & keep) | (planes[0] & m)
-                    f1[i] = (f1[i] & keep) | (planes[1] & m)
+                f0[index[name]], f1[index[name]] = planes
 
         checkpoint = self.checkpoint
         if checkpoint is None:
@@ -402,19 +376,3 @@ class BitParallelSimulator:
             )
             current = self.next_state(frame)
             yield frame
-
-    def evaluate_cubes(
-        self,
-        states: Sequence[Mapping[str, int]],
-        inputs: Sequence[Mapping[str, int]],
-    ) -> List[Dict[str, int]]:
-        """Batch counterpart of ``Simulator.evaluate``: lane ``k`` settles
-        ``states[k]``/``inputs[k]``; returns one full valuation per lane."""
-        if len(states) != len(inputs):
-            raise ValueError("states and inputs must pair up lane by lane")
-        lanes = len(states)
-        packed_inputs, masks = pack_lanes_masked(inputs)
-        frame = self.evaluate(
-            pack_lanes(states), packed_inputs, lanes, input_masks=masks
-        )
-        return [frame.lane_valuation(lane) for lane in range(lanes)]

@@ -11,11 +11,14 @@ is the companion for embarrassingly parallel sweeps (fuzz campaigns,
 
 Strategies are engines resolved by name from
 :data:`repro.engine.registry`; verdicts are the canonical
-:class:`repro.engine.Verdict`.  Both entry points degrade to in-process
-sequential execution when ``jobs <= 1`` or the platform lacks the
-``fork`` start method, so every caller can treat parallelism as
-optional.  See DESIGN.md section 11 for the pool lifecycle,
-budget-slicing and determinism contract.
+:class:`repro.engine.Verdict`.  Both entry points are policies over
+:mod:`repro.parallel.pool`, the one process layer (fork, child
+bootstrap, pipe poll, SIGTERM -> SIGKILL stop) that the serve daemon
+uses too.  They degrade to in-process sequential execution when
+``jobs <= 1`` or the platform lacks the ``fork`` start method, so every
+caller can treat parallelism as optional.  See DESIGN.md section 11 for
+the process layer, pool lifecycle, budget-slicing and determinism
+contract.
 """
 
 from repro.engine import Verdict

@@ -10,18 +10,18 @@ own budget slice (see :mod:`repro.parallel.envelope`):
 - ``jobs >= 2``: up to ``jobs`` forked workers run concurrently; as a
   worker returns an indefinite envelope the next pending strategy is
   backfilled into its slot.  The first definite envelope cancels every
-  other worker (``terminate`` then ``join``); losers' slices overlap
-  instead of serializing, which is the whole wall-clock win.
+  other worker; losers' slices overlap instead of serializing, which is
+  the whole wall-clock win.
 
-Cancellation protocol: workers are daemonic and write exactly one
-envelope to their pipe.  The parent polls with
-``multiprocessing.connection.wait``; on a winner (or ``KeyboardInterrupt``)
-it terminates, joins and reaps every live worker in a ``finally`` block,
-so no orphan can outlive the call.  A worker that had already sent its
-envelope, or died on its own, by then is still reported: a dying child
-closes its pipe only after the kernel has torn down its address space,
-which can take longer than the winner needs to answer, so whether the
-poll saw it first is timing, not outcome.
+Cancellation protocol: one :mod:`repro.parallel.pool` worker per
+strategy, because cancelling a loser means killing it; each writes
+exactly one envelope to its pipe.  On a winner (or ``KeyboardInterrupt``)
+the parent stops every live worker in a ``finally`` block, so no orphan
+can outlive the call.  A worker that had already sent its envelope, or
+died on its own, by then is still reported: a dying child closes its
+pipe only after the kernel has torn down its address space, which can
+take longer than the winner needs to answer, so whether the poll saw it
+first is timing, not outcome.
 
 Determinism contract: every strategy is sound, so *which* strategy wins
 cannot change the verdict, only the latency.  Falsification witnesses
@@ -35,11 +35,9 @@ invariant (BDD functions cannot cross the pipe).
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.property import UnreachabilityProperty
 from repro.engine import DisagreeError, Verdict, join_all
@@ -52,6 +50,7 @@ from repro.parallel.envelope import (
     budget_from_limits,
     slice_limits,
 )
+from repro.parallel.pool import Worker, WorkerDied, fork_context, wait
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy, worker_main
 from repro.runtime.budget import Budget
 from repro.runtime.chaos import ChaosMonkey
@@ -59,39 +58,15 @@ from repro.runtime.supervisor import AbortInfo
 from repro.trace import Trace
 
 
-def _fork_context():
-    """The fork start context, or None when the platform lacks it (then
-    the race degrades to the sequential reference mode)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return None
-
-
-def _death_envelope(strategy: str, proc) -> WorkerEnvelope:
+def _death_envelope(strategy: str, worker: Worker) -> WorkerEnvelope:
     """The ERROR envelope standing in for a worker that exited without
-    sending one (hard crash, kill -9); ``proc`` must be joined."""
+    sending one (hard crash, kill -9); ``worker`` must be joined."""
     return WorkerEnvelope(
         strategy=strategy,
         verdict=Verdict.ERROR,
-        detail=f"worker exited without a result (exitcode {proc.exitcode})",
-        pid=proc.pid,
+        detail=f"worker exited without a result (exitcode {worker.exitcode})",
+        pid=worker.pid,
     )
-
-
-def _late_envelope(conn, proc, strategy: str) -> Optional[WorkerEnvelope]:
-    """What a worker the race is tearing down left behind: the envelope
-    it had already sent, an ERROR envelope if it died on its own (a
-    positive exit code, not the race's SIGTERM), or None when the
-    cancellation stopped it mid-run.  ``proc`` must be joined."""
-    try:
-        if conn.poll():
-            return conn.recv()
-    except (EOFError, OSError):
-        pass  # no complete envelope in the pipe
-    if proc.exitcode is not None and proc.exitcode > 0:
-        return _death_envelope(strategy, proc)
-    return None
 
 
 def canonical_witness(
@@ -211,7 +186,6 @@ def race(
     chaos: Optional[ChaosMonkey] = None,
     log: Optional[Callable[[str], None]] = None,
     canonicalize: bool = True,
-    poll_seconds: float = 0.05,
 ) -> PortfolioResult:
     """Race ``strategies`` on one obligation; see the module docstring.
 
@@ -237,8 +211,7 @@ def race(
         if log is not None:
             log(message)
 
-    ctx = _fork_context() if jobs >= 2 else None
-    if ctx is None:
+    if jobs < 2 or fork_context() is None:
         # Sequential reference mode: burn the slices in order.
         winning = None
         for strategy in strategies:
@@ -264,49 +237,37 @@ def race(
         )
 
     pending = list(strategies)
-    running = {}  # conn -> (process, strategy, launch instant)
+    running: Dict[Worker, str] = {}  # worker -> the strategy it races
     winning: Optional[WorkerEnvelope] = None
 
     def launch(strategy: str) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=worker_main,
-            args=(child_conn, strategy, circuit, prop, limits, chaos),
-            name=f"portfolio-{strategy}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # the child owns its end now
-        running[parent_conn] = (proc, strategy, time.monotonic())
-        note(f"[portfolio] worker {proc.pid} racing {strategy}")
+        worker = Worker(worker_main, strategy, circuit, prop, limits, chaos)
+        running[worker] = strategy
+        note(f"[portfolio] worker {worker.pid} racing {strategy}")
 
-    def note_worker_span(
-        proc, strategy: str, launched: float, outcome: str
-    ) -> None:
+    def note_worker_span(worker: Worker, strategy: str, outcome: str) -> None:
         # The parent's view of the worker's lifetime, attributed to the
         # worker's pid lane.  This also covers *cancelled* workers, whose
         # own span buffers die with them -- guaranteeing the stitched
         # trace shows every lane that raced.
         obs.TRACER.record_span(
             "portfolio.worker",
-            ts=launched,
-            dur=time.monotonic() - launched,
-            pid=proc.pid,
+            ts=worker.started,
+            dur=time.monotonic() - worker.started,
+            pid=worker.pid,
             outcome=outcome,
             attrs={"strategy": strategy},
         )
 
-    def record(
-        envelope: WorkerEnvelope, proc, strategy: str, launched: float
-    ) -> None:
+    def record(envelope: WorkerEnvelope, worker: Worker) -> None:
         result.envelopes.append(envelope)
         if envelope.perf:
             PERF.merge(envelope.perf)
         if obs.TRACER.enabled:
             obs.TRACER.absorb(envelope.obs)
-            note_worker_span(proc, strategy, launched, envelope.verdict)
+            note_worker_span(worker, envelope.strategy, envelope.verdict)
         note(
-            f"[portfolio] {strategy}: {envelope.verdict} "
+            f"[portfolio] {envelope.strategy}: {envelope.verdict} "
             f"({envelope.detail}) in {envelope.seconds:.2f}s"
         )
 
@@ -314,22 +275,17 @@ def race(
         while pending and len(running) < jobs:
             launch(pending.pop(0))
         while running and winning is None:
-            ready = multiprocessing.connection.wait(
-                list(running), timeout=poll_seconds
-            )
-            for conn in ready:
-                proc, strategy, launched = running.pop(conn)
+            ready = wait(list(running))
+            for worker in ready:
+                strategy = running.pop(worker)
                 try:
-                    envelope = conn.recv()
-                except (EOFError, OSError):
+                    envelope = worker.recv()
+                except WorkerDied:
                     # The worker died without an envelope (hard crash,
                     # kill -9): degrade, don't raise.
-                    proc.join()  # exitcode is only valid after the join
-                    envelope = _death_envelope(strategy, proc)
-                finally:
-                    conn.close()
-                proc.join()
-                record(envelope, proc, strategy, launched)
+                    envelope = _death_envelope(strategy, worker)
+                worker.stop()
+                record(envelope, worker)
                 if envelope.definite and winning is None:
                     winning = envelope
                 elif pending:
@@ -338,19 +294,19 @@ def race(
                 note("[portfolio] parent budget expired; cancelling race")
                 break
     finally:
-        for conn, (proc, strategy, launched) in list(running.items()):
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck in a syscall
-                proc.kill()
-                proc.join(timeout=5.0)
-            late = _late_envelope(conn, proc, strategy)
-            conn.close()
+        for worker, strategy in list(running.items()):
+            worker.stop()
+            # What a cancelled worker left behind: the envelope it had
+            # already sent, an ERROR envelope if it died on its own (a
+            # positive exit code, not the race's SIGTERM), or nothing
+            # when the cancellation stopped it mid-run.
+            late = worker.late
+            if late is None and (worker.exitcode or 0) > 0:
+                late = _death_envelope(strategy, worker)
             if late is not None:
-                record(late, proc, strategy, launched)
+                record(late, worker)
             elif obs.TRACER.enabled:
-                note_worker_span(proc, strategy, launched, "cancelled")
+                note_worker_span(worker, strategy, "cancelled")
         running.clear()
 
     # Keep the reported envelope order deterministic (strategy order,

@@ -3,8 +3,9 @@
 A supervised daemon (:mod:`repro.serve.daemon`) turns the one-shot CLI
 into a long-running engine farm: a write-ahead-logged job queue
 (:mod:`repro.serve.journal`, :mod:`repro.serve.queue`) survives
-``kill -9``; a heartbeat watchdog (:mod:`repro.serve.watchdog`)
-preempts hung and RSS-runaway workers; per-strategy circuit breakers
+``kill -9``; a heartbeat watchdog policy (:mod:`repro.serve.watchdog`)
+decides when to preempt hung and RSS-runaway workers, which run and
+stop through :mod:`repro.parallel.pool`; per-strategy circuit breakers
 (:mod:`repro.serve.breaker`) quarantine crash-looping engines so the
 portfolio degrades to the survivors; and admission control sheds load
 with a structured ``RETRY_LATER`` reply instead of accepting unbounded
@@ -52,7 +53,6 @@ from repro.serve.watchdog import (
     RSS_RUNAWAY,
     STALE_HEARTBEAT,
     WatchdogPolicy,
-    preempt,
     rss_of,
 )
 
@@ -84,7 +84,6 @@ __all__ = [
     "job_worker_main",
     "make_job",
     "new_job_id",
-    "preempt",
     "queue_status",
     "read_result",
     "render_status",

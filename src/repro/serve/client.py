@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+from repro.engine import registry
 from repro.fuzz.shrink import PROPERTY_DIRECTIVE, instance_from_text
 from repro.netlist.textio import circuit_from_text
 from repro.runtime.fsio import atomic_write_text
@@ -42,7 +43,7 @@ def make_job(
     name: str,
     target: Optional[Dict[str, int]] = None,
     prop_name: str = "property",
-    strategies: Optional[List[str]] = None,
+    strategies: Optional[Sequence[str]] = None,
     timeout: Optional[float] = None,
     chaos: Optional[str] = None,
     max_attempts: Optional[int] = None,
@@ -52,10 +53,13 @@ def make_job(
 
     With no explicit ``target`` the netlist must carry a
     ``# !property`` directive (the corpus convention); the property is
-    derived from it.  Either way the netlist is parsed *now*, so a
+    derived from it.  Either way the netlist is parsed *now*, and the
+    strategy names are checked against the engine registry, so a
     malformed submission fails at the client with a clean diagnostic
     instead of poisoning the queue.
     """
+    if strategies is not None:
+        strategies = list(registry.require(strategies))
     if target is None:
         if PROPERTY_DIRECTIVE not in netlist_text:
             raise ValueError(

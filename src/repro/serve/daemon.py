@@ -10,9 +10,10 @@ One :class:`Daemon` owns a queue directory::
       daemon.pid      single-writer guard (stale pids are reclaimed)
 
 The main loop: scan the inbox (admit or shed), launch eligible queued
-jobs onto free worker slots (strategies filtered through the per-engine
-circuit breakers), poll worker pipes, run the heartbeat watchdog, and
-fold every outcome back through the journal.  Every state transition is
+jobs, one :class:`repro.parallel.pool.Worker` per attempt (strategies
+filtered through the per-engine circuit breakers), poll worker pipes,
+run the heartbeat watchdog, and fold every outcome back through the
+journal.  Every state transition is
 journaled *before* the daemon acts on it, so ``kill -9`` at any instant
 is recoverable: replay returns in-flight jobs to the queue with their
 attempt counts intact, and the engines are deterministic, so a re-run
@@ -20,13 +21,15 @@ attempt reaches the same verdict the lost one would have.
 
 Failure containment ladder, innermost first:
 
-1. in-worker: :func:`repro.parallel.worker.run_strategy` containment
-   (aborts -> UNKNOWN envelopes, crashes -> ERROR envelopes);
+1. in-worker: :func:`repro.parallel.worker.run_strategy`, which runs
+   each strategy through ``Engine.run``'s containment (aborts ->
+   UNKNOWN envelopes, crashes -> ERROR envelopes);
 2. worker death (segfault, OOM kill, ``crash`` chaos fault): pipe EOF,
    failure attributed to the strategy that was running, job requeued
    with exponential backoff + jitter under a bounded retry budget;
 3. hung / frozen / RSS-runaway worker: watchdog preemption
-   (SIGTERM -> SIGKILL), same requeue path;
+   (:meth:`~repro.parallel.pool.Worker.stop`: SIGTERM -> SIGKILL), same
+   requeue path;
 4. strategy-level crash loops: circuit breaker quarantine, the job
    proceeds on the surviving engines;
 5. daemon death: WAL replay on restart (the invariant the kill-restart
@@ -49,9 +52,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import multiprocessing
-import multiprocessing.connection
-
 from repro.core.property import UnreachabilityProperty
 from repro.kernel.perf import PERF
 from repro.netlist.textio import circuit_from_text
@@ -61,11 +61,19 @@ from repro.engine import (
     VerifyResult,
     WITNESS_INVARIANT,
     WITNESS_TRACE,
+    registry,
 )
 from repro.parallel.envelope import (
     WorkerEnvelope,
     budget_from_limits,
     slice_limits,
+)
+from repro.parallel.pool import (
+    Worker,
+    WorkerDied,
+    fork_context,
+    kill_pid,
+    wait,
 )
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
 from repro.runtime.budget import Budget
@@ -75,7 +83,7 @@ from repro.runtime.fsio import atomic_write_text
 from repro.serve.breaker import BreakerBoard
 from repro.serve.journal import Journal
 from repro.serve.queue import QUEUED, RETRY_LATER, RUNNING, Job, JobStore
-from repro.serve.watchdog import WatchdogPolicy, kill_pid, preempt, rss_of
+from repro.serve.watchdog import WatchdogPolicy, rss_of
 
 
 class ServeError(RuntimeError):
@@ -118,10 +126,14 @@ def ensure_layout(queue_dir: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _heartbeat_loop(value, interval: float) -> None:
+#: How often a worker stamps its heartbeat.
+HEARTBEAT_SECONDS = 0.25
+
+
+def _heartbeat_loop(value) -> None:
     while True:
         value.value = time.monotonic()
-        time.sleep(interval)
+        time.sleep(HEARTBEAT_SECONDS)
 
 
 def _rfn_with_checkpoint(checkpoint_path: str):
@@ -182,7 +194,8 @@ def _rfn_with_checkpoint(checkpoint_path: str):
 
 
 def job_worker_main(conn, heartbeat, payload: dict) -> None:
-    """Child-process body for one job attempt.
+    """Child-process body for one job attempt; the pool bootstrap has
+    restored ``SIG_DFL``, so a preempted worker dies instead of draining.
 
     Protocol (one pickled tuple per message, in order):
     ``("strategy", name)`` before each strategy starts -- the parent's
@@ -190,17 +203,8 @@ def job_worker_main(conn, heartbeat, payload: dict) -> None:
     each strategy; ``("result", dict)`` exactly once at the end.  Death
     without a ``result`` is the parent's signal to requeue.
     """
-    # The parent installed drain handlers before forking; this process
-    # must die on SIGTERM (watchdog preemption), not set a drain flag.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    PERF.reset()
-    obs.TRACER.fork_child()
-    beat_interval = float(payload.get("heartbeat_interval", 0.25))
     threading.Thread(
-        target=_heartbeat_loop,
-        args=(heartbeat, beat_interval),
-        daemon=True,
+        target=_heartbeat_loop, args=(heartbeat,), daemon=True
     ).start()
     start = time.perf_counter()
 
@@ -353,11 +357,9 @@ class ServeConfig:
     default_strategies: Tuple[str, ...] = STRATEGY_ORDER
     hang_seconds: Optional[float] = 300.0
     heartbeat_timeout: Optional[float] = 15.0
-    heartbeat_interval: float = 0.25
     rss_limit_mb: Optional[float] = None
     poll_seconds: float = 0.05
     drain_grace: float = 10.0
-    preempt_grace: float = 2.0
     until_idle: bool = False
     install_signals: bool = True
     backoff_base: float = 0.25
@@ -369,16 +371,14 @@ class ServeConfig:
 
 
 class _Slot:
-    """One in-flight worker: process, pipe, heartbeat, attribution."""
+    """One in-flight worker: its handle, heartbeat and attribution."""
 
-    def __init__(self, process, conn, heartbeat, job: Job,
+    def __init__(self, worker: Worker, heartbeat, job: Job,
                  admitted: List[str]) -> None:
-        self.process = process
-        self.conn = conn
+        self.worker = worker
         self.heartbeat = heartbeat
         self.job = job
         self.admitted = admitted
-        self.started = time.monotonic()
         self.current_strategy: Optional[str] = None
         self.finished_strategies: List[str] = []
 
@@ -417,18 +417,15 @@ class Daemon:
             heartbeat_timeout=config.heartbeat_timeout,
             rss_limit_mb=config.rss_limit_mb,
         )
-        self.slots: Dict[object, _Slot] = {}  # conn -> slot
+        self.slots: Dict[Worker, _Slot] = {}
         self.preemptions = 0
         self.worker_deaths = 0
         self.jobs_done = 0
         self._draining = False
         self._drain_deadline: Optional[float] = None
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            raise ServeError(
-                "repro serve requires the fork start method"
-            ) from None
+        self._ctx = fork_context()
+        if self._ctx is None:  # pragma: no cover - non-POSIX
+            raise ServeError("repro serve requires the fork start method")
 
     # -- plumbing -------------------------------------------------------
 
@@ -506,6 +503,9 @@ class Daemon:
                 with open(path) as handle:
                     spec = json.load(handle)
                 job = Job.from_spec(spec)
+                # Checked here, not in Job.from_spec: journal replay
+                # rebuilds jobs with it too, and must not drop any.
+                registry.require(job.strategies or ())
             except (OSError, ValueError, KeyError) as error:
                 self._note(f"[serve] dropping malformed submission "
                            f"{name}: {error}")
@@ -581,24 +581,13 @@ class Daemon:
                 if job.timeout is not None
                 else self.config.default_timeout
             ),
-            heartbeat_interval=self.config.heartbeat_interval,
         )
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         heartbeat = self._ctx.Value("d", time.monotonic(), lock=False)
-        process = self._ctx.Process(
-            target=job_worker_main,
-            args=(child_conn, heartbeat, payload),
-            name=f"serve-{job.id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self.store.note_worker(job, process.pid, _start_time(process.pid))
-        self.slots[parent_conn] = _Slot(
-            process, parent_conn, heartbeat, job, admitted
-        )
+        worker = Worker(job_worker_main, heartbeat, payload)
+        self.store.note_worker(job, worker.pid, _start_time(worker.pid))
+        self.slots[worker] = _Slot(worker, heartbeat, job, admitted)
         self._note(
-            f"[serve] worker {process.pid} starts {job.id} "
+            f"[serve] worker {worker.pid} starts {job.id} "
             f"attempt {job.attempt} [{','.join(admitted)}]"
         )
 
@@ -618,9 +607,9 @@ class Daemon:
         if obs.TRACER.enabled:
             obs.TRACER.record_span(
                 "serve.job",
-                ts=slot.started,
-                dur=time.monotonic() - slot.started,
-                pid=slot.process.pid,
+                ts=slot.worker.started,
+                dur=time.monotonic() - slot.worker.started,
+                pid=slot.worker.pid,
                 outcome=outcome,
                 attrs={
                     "job": slot.job.id,
@@ -682,13 +671,8 @@ class Daemon:
 
     def _reap(self, slot: _Slot, reason: str,
               blame: Optional[str] = None) -> None:
-        """Common teardown for a dead/preempted worker: join, attribute
-        the failure to the strategy that was running, requeue."""
-        slot.process.join(timeout=self.config.preempt_grace)
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
+        """Common teardown for a dead/preempted worker: attribute the
+        failure to the strategy that was running, requeue."""
         blamed = blame or slot.current_strategy
         if blamed is not None:
             self.board.record(blamed, ok=False)
@@ -709,76 +693,63 @@ class Daemon:
                 envelope.strategy, ok=not self._strategy_failed(envelope)
             )
         elif kind == "result":
-            del self.slots[slot.conn]
+            del self.slots[slot.worker]
             self._finish_from_result(slot, payload)
-            slot.process.join(timeout=self.config.preempt_grace)
-            if slot.process.is_alive():  # pragma: no cover - stuck exit
-                slot.process.kill()
-                slot.process.join(timeout=self.config.preempt_grace)
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
+            slot.worker.stop()
 
     def _poll_workers(self) -> None:
         if not self.slots:
             time.sleep(self.config.poll_seconds)
             return
-        ready = multiprocessing.connection.wait(
-            list(self.slots), timeout=self.config.poll_seconds
-        )
-        for conn in ready:
-            slot = self.slots.get(conn)
-            if slot is None:
-                continue
+        for worker in wait(list(self.slots), self.config.poll_seconds):
+            slot = self.slots[worker]
             try:
-                message = conn.recv()
-            except (EOFError, OSError):
+                message = worker.recv()
+            except WorkerDied as death:
                 # Hard worker death without a result message.
-                del self.slots[conn]
+                del self.slots[worker]
                 self.worker_deaths += 1
-                slot.process.join()
-                exitcode = slot.process.exitcode
                 during = slot.current_strategy or "startup"
                 obs.event(
                     "serve.worker_death",
                     job=slot.job.id,
-                    pid=slot.process.pid,
-                    exitcode=exitcode,
+                    pid=worker.pid,
+                    exitcode=death.exitcode,
                     strategy=during,
                 )
                 self._reap(
                     slot,
-                    f"worker died (exitcode {exitcode}) during {during}",
+                    f"worker died (exitcode {death.exitcode}) "
+                    f"during {during}",
                 )
                 continue
             self._handle_message(slot, message)
 
     def _run_watchdog(self) -> None:
         now = time.monotonic()
-        for conn, slot in list(self.slots.items()):
-            if not slot.process.is_alive():
+        for worker, slot in list(self.slots.items()):
+            if not worker.process.is_alive():
                 continue  # the pipe EOF path will reap it
             violation = self.policy.check(
-                started=slot.started,
+                started=worker.started,
                 last_beat=slot.heartbeat.value,
-                rss_mb=rss_of(slot.process.pid),
+                rss_mb=rss_of(worker.pid),
                 now=now,
             )
             if violation is None:
                 continue
-            del self.slots[conn]
+            del self.slots[worker]
             self.preemptions += 1
-            how = preempt(slot.process, self.config.preempt_grace)
+            how = worker.stop()
             obs.event(
                 "watchdog.preempt",
                 job=slot.job.id,
-                pid=slot.process.pid,
+                pid=worker.pid,
                 reason=violation,
                 how=how,
             )
             self._note(
-                f"[serve] watchdog preempts worker {slot.process.pid} "
+                f"[serve] watchdog preempts worker {worker.pid} "
                 f"({slot.job.id}): {violation} -> {how}"
             )
             during = slot.current_strategy
@@ -812,21 +783,19 @@ class Daemon:
     def _shutdown(self) -> None:
         """Preempt and requeue whatever is still in flight (drain-grace
         expiry or an exception unwinding the loop)."""
-        for conn, slot in list(self.slots.items()):
-            del self.slots[conn]
-            how = preempt(slot.process, self.config.preempt_grace)
+        for worker, slot in list(self.slots.items()):
+            del self.slots[worker]
+            how = worker.stop()
             obs.event(
                 "watchdog.preempt",
                 job=slot.job.id,
-                pid=slot.process.pid,
+                pid=worker.pid,
                 reason="drain",
                 how=how,
             )
-            during = slot.current_strategy
             # Drain preemption is the daemon's choice, not the engine's
             # fault: requeue without blaming a strategy.
             self._reap(slot, "preempted by drain", blame=None)
-            del during
 
     def run(self) -> int:
         """Serve until drained (or until idle with ``until_idle``).
@@ -845,7 +814,7 @@ class Daemon:
                 # without one identifies nothing.
                 if start is None or _start_time(pid) != start:
                     continue
-                kill_pid(pid, self.config.preempt_grace)
+                kill_pid(pid)
                 obs.event("serve.orphan_killed", job=job_id, pid=pid)
                 self._note(
                     f"[serve] killed orphan worker {pid} ({job_id}) "

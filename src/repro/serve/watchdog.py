@@ -17,17 +17,15 @@ the failures that *don't* announce themselves:
   at random.
 
 Policy (:class:`WatchdogPolicy`, pure and clock-injectable for tests)
-is separated from mechanism (:func:`preempt`): preemption sends
-SIGTERM, waits ``grace_seconds`` for a clean death, then escalates to
-SIGKILL -- a worker stuck in an uninterruptible syscall cannot dodge
-it.  The daemon then requeues the job with backoff and feeds the
-failure to the responsible strategy's circuit breaker.
+is separated from mechanism (:meth:`repro.parallel.pool.Worker.stop`):
+preemption sends SIGTERM, waits the pool's grace for a clean death,
+then escalates to SIGKILL -- a worker stuck in an uninterruptible
+syscall cannot dodge it.  The daemon then requeues the job with backoff
+and feeds the failure to the responsible strategy's circuit breaker.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -89,39 +87,3 @@ class WatchdogPolicy:
         ):
             return RSS_RUNAWAY
         return None
-
-
-def preempt(process, grace_seconds: float = 2.0) -> str:
-    """SIGTERM -> grace -> SIGKILL escalation on a multiprocessing
-    Process.  Returns ``"sigterm"`` or ``"sigkill"`` (how it died);
-    idempotent on an already-dead process (returns ``"dead"``)."""
-    if not process.is_alive():
-        process.join(timeout=0)
-        return "dead"
-    process.terminate()  # SIGTERM: workers run SIG_DFL, so this kills
-    process.join(timeout=grace_seconds)
-    if not process.is_alive():
-        return "sigterm"
-    process.kill()  # SIGKILL: cannot be caught, blocked, or ignored
-    process.join(timeout=grace_seconds)
-    return "sigkill"
-
-
-def kill_pid(pid: int, grace_seconds: float = 2.0) -> None:
-    """Best-effort raw-pid variant of :func:`preempt` (used for orphan
-    cleanup where no Process handle survives a daemon restart)."""
-    try:
-        os.kill(pid, signal.SIGTERM)
-    except (OSError, ProcessLookupError):
-        return
-    deadline = time.monotonic() + grace_seconds
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-        except (OSError, ProcessLookupError):
-            return
-        time.sleep(0.05)
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except (OSError, ProcessLookupError):
-        pass

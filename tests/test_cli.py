@@ -284,6 +284,50 @@ class TestUsageErrorExitCode:
         assert "usage:" in capsys.readouterr().out
 
 
+class TestUnknownStrategy:
+    """Every ``--strategies`` entry point rejects a name the engine
+    registry does not know as a usage error (exit 3), before anything
+    runs -- never as a crash, nor as one ERROR envelope in a race that
+    goes on without it."""
+
+    def test_verify_portfolio(self, buggy_netlist, capsys):
+        path, wd = buggy_netlist
+        code = main(["verify", path, "--watchdog", wd, "--engine",
+                     "portfolio", "--jobs", "2", "--strategies", "nope,bmc"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "unknown engine 'nope'" in captured.err
+        assert "portfolio:" not in captured.out
+
+    def test_batch(self, tmp_path, capsys, monkeypatch):
+        from repro.designs.counters import saturating_counter as sat
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        _write_corpus_instance(corpus, *sat(3, ceiling=5), "sat")
+        monkeypatch.setattr(cli, "_batch_shards", None)  # must not run
+        code = main(["batch", str(corpus), "--strategies", "bdd,nope"])
+        assert code == 3
+        assert "unknown engine 'nope'" in capsys.readouterr().err
+
+    def test_serve(self, tmp_path, capsys):
+        queue_dir = str(tmp_path / "queue")
+        code = main(["serve", "--queue-dir", queue_dir, "--until-idle",
+                     "--strategies", "nope"])
+        assert code == 3
+        assert "unknown engine 'nope'" in capsys.readouterr().err
+        assert not os.path.exists(queue_dir)  # no daemon was built
+
+    def test_submit(self, true_netlist, tmp_path, capsys):
+        path, wd = true_netlist
+        queue_dir = str(tmp_path / "queue")
+        code = main(["submit", queue_dir, path, "--watchdog", wd,
+                     "--strategies", "bmc,nope"])
+        assert code == 3
+        assert "unknown engine 'nope'" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(queue_dir, "inbox"))
+
+
 class TestServeCli:
     def test_submit_serve_status_roundtrip(
         self, true_netlist, tmp_path, capsys

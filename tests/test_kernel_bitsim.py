@@ -18,7 +18,6 @@ from repro.kernel import (
     BitParallelSimulator,
     pack_bits,
     pack_lanes,
-    pack_lanes_masked,
     pack_value,
     planes_value,
 )
@@ -38,11 +37,43 @@ def _random_cube(rng, names, values=VALUES, density=0.8):
     return {n: rng.choice(values) for n in names if rng.random() < density}
 
 
+def _pack_lanes_masked(cubes):
+    """Per-lane cubes packed into plane pairs, plus each signal's mask of
+    the lanes whose cube assigns it.  An explicit X keeps its lane's bit:
+    that is what lets a register override tell "the trace says X" from
+    "the trace says nothing"."""
+    masks = {}
+    for lane, cube in enumerate(cubes):
+        for name in cube:
+            masks[name] = masks.get(name, 0) | 1 << lane
+    return pack_lanes(cubes), masks
+
+
+def _evaluate_cubes(circuit, states, inputs):
+    """Lane ``k`` settles ``states[k]`` under ``inputs[k]``, as
+    ``Simulator.evaluate`` does: a register named in a lane's inputs
+    overrides that lane's state, so the overrides are merged into the
+    state planes under each register's assignment mask before the
+    kernel settles the primary inputs."""
+    lanes = len(states)
+    state = pack_lanes(states)
+    packed, masks = _pack_lanes_masked(inputs)
+    x_planes = pack_value(X, lanes)
+    for name in circuit.registers:
+        if name in packed:
+            keep, put = ~masks[name], masks[name]
+            old, new = state.get(name, x_planes), packed.pop(name)
+            state[name] = tuple(
+                (o & keep) | (n & put) for o, n in zip(old, new)
+            )
+    frame = BitParallelSimulator(circuit).evaluate(state, packed, lanes)
+    return [frame.lane_valuation(lane) for lane in range(lanes)]
+
+
 def _assert_lanes_match(circuit, states, inputs):
     """Both engines settle the same cubes; every lane, every signal."""
     ref = Simulator(circuit)
-    kernel = BitParallelSimulator(circuit)
-    got = kernel.evaluate_cubes(states, inputs)
+    got = _evaluate_cubes(circuit, states, inputs)
     for lane, (state, cube) in enumerate(zip(states, inputs)):
         expected = ref.evaluate(state, cube)
         assert got[lane] == expected, f"lane {lane} diverged"
@@ -97,7 +128,7 @@ class TestPacking:
         assert [planes_value(planes, k) for k in range(4)] == [1, 1, 0, 1]
 
     def test_pack_lanes_masked_distinguishes_explicit_x(self):
-        packed, masks = pack_lanes_masked([{"a": X}, {}, {"a": ONE}])
+        packed, masks = _pack_lanes_masked([{"a": X}, {}, {"a": ONE}])
         assert masks["a"] == 0b101  # lane 1 never assigned a
         assert planes_value(packed["a"], 0) == X
         assert planes_value(packed["a"], 2) == ONE

@@ -21,6 +21,7 @@ import contextlib
 import os
 import pickle
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -577,39 +578,43 @@ print("RACE-DONE", flush=True)
 def _pids_after_signal(script, sig):
     """Run ``script`` in a subprocess, wait until it has printed two
     distinct ``worker <pid>`` lines, send it ``sig`` and collect it.
-    Returns (return code, stdout, the two worker pids)."""
+    Returns (return code, stdout, the two worker pids).
+
+    Every read is bounded by the time left, and a line may carry more
+    than one ``worker <pid>`` (two processes writing one pipe).  The
+    child leads its own session, so a failure can kill it together with
+    every worker it forked before collecting its output."""
     src = os.path.join(os.path.dirname(repro.__file__), os.pardir)
     child = subprocess.Popen(
         [sys.executable, "-c", script.format(src=os.path.abspath(src))],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
-        text=True,
+        start_new_session=True,
     )
     pids = []
     try:
         deadline = time.monotonic() + 30.0
+        pending = b""
         while len(pids) < 2 and time.monotonic() < deadline:
-            line = child.stdout.readline()
-            assert line, "process exited before launching workers"
-            match = re.search(r"worker (\d+)", line)
-            if match and int(match.group(1)) not in pids:
-                pids.append(int(match.group(1)))
+            left = deadline - time.monotonic()
+            if not select.select([child.stdout], [], [], max(0.0, left))[0]:
+                continue
+            chunk = os.read(child.stdout.fileno(), 4096)
+            assert chunk, "process exited before launching workers"
+            *lines, pending = (pending + chunk).split(b"\n")
+            for line in lines:
+                for match in re.findall(rb"worker (\d+)", line):
+                    if int(match) not in pids:
+                        pids.append(int(match))
         assert len(pids) == 2, f"never saw both workers: {pids}"
         child.send_signal(sig)
-        try:
-            out, _ = child.communicate(timeout=20.0)
-        except subprocess.TimeoutExpired:
-            # Workers that outlived their parent hold its stdout open;
-            # kill them so that the failing test leaks nothing.
-            for pid in pids:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-            raise
-    finally:
-        if child.poll() is None:  # pragma: no cover - cleanup path
-            child.kill()
-            child.communicate()
-    return child.returncode, out, pids
+        out, _ = child.communicate(timeout=20.0)
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.communicate(timeout=20.0)
+        raise
+    return child.returncode, out.decode(), pids
 
 
 def _running(pid):
@@ -664,7 +669,8 @@ sys.path.insert(0, {src!r})
 from repro.parallel.shard import shard_map
 
 def work(item):
-    print(f"worker {{os.getpid()}} took item {{item}}", flush=True)
+    # One write per line: two workers share the pipe.
+    os.write(1, f"worker {{os.getpid()}} took item {{item}}\\n".encode())
     time.sleep(ITEM_SECONDS)
     return item
 

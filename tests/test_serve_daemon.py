@@ -63,7 +63,6 @@ def fast_config(queue_dir, **kwargs):
         workers=2,
         poll_seconds=0.02,
         drain_grace=2.0,
-        preempt_grace=1.0,
         until_idle=True,
         install_signals=False,
         fsync=False,
@@ -155,6 +154,30 @@ class TestBadSubmissions:
             handle.write("{truncated")
         assert Daemon(fast_config(queue_dir)).run() == 0
         assert os.listdir(inbox) == []
+
+    def test_inbox_job_naming_unknown_strategy_is_dropped(self, tmp_path):
+        """A hand-written submission naming an engine the registry does
+        not know is malformed: dropped at the inbox, never run."""
+        queue_dir = str(tmp_path / "q")
+        job = design_job(saturating_counter, "sat")
+        job.strategies = ["nope", "bmc"]
+        submit_job(queue_dir, job)
+        daemon = Daemon(fast_config(queue_dir))
+        assert daemon.run() == 0
+        assert os.listdir(os.path.join(queue_dir, "inbox")) == []
+        assert daemon.store.jobs == {}
+        assert read_result(queue_dir, job.id) is None
+
+    def test_replay_keeps_job_naming_unknown_strategy(self):
+        """Journal replay rebuilds jobs through ``Job.from_spec``, which
+        must not check names: a journaled job is never dropped."""
+        spec = design_job(saturating_counter, "sat").spec_json()
+        spec["strategies"] = ["nope"]
+        assert Job.from_spec(spec).strategies == ["nope"]
+
+    def test_client_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown engine 'nope'"):
+            design_job(saturating_counter, "sat", strategies=["nope"])
 
     def test_client_rejects_malformed_netlist(self):
         with pytest.raises(Exception):
