@@ -17,6 +17,7 @@ import pytest
 from repro.core import RFN, RfnConfig
 from repro.designs import table1_workloads
 from repro.engine import Verdict
+from repro.runtime import Budget
 from reporting import emit_table
 
 WORKLOADS = [w for w in table1_workloads() if w.expected]
@@ -27,7 +28,7 @@ def run(workload, reuse):
     config = RfnConfig(
         reuse_variable_order=reuse,
         auto_reorder=True,
-        max_seconds=600,
+        budget=Budget(max_seconds=3600),
     )
     result = RFN(workload.circuit, workload.prop, config).run()
     assert result.status is Verdict.VERIFIED

@@ -19,6 +19,7 @@ import pytest
 from repro.core import RFN, RfnConfig
 from repro.designs import table1_workloads
 from repro.engine import Verdict
+from repro.runtime import Budget
 from reporting import emit_table
 
 WORKLOADS = [w for w in table1_workloads() if w.expected]
@@ -31,12 +32,16 @@ def test_refinement_ablation(benchmark, workload):
         with_min = RFN(
             workload.circuit,
             workload.prop,
-            RfnConfig(enable_minimization=True, max_seconds=600),
+            RfnConfig(
+                enable_minimization=True, budget=Budget(max_seconds=3600)
+            ),
         ).run()
         without = RFN(
             workload.circuit,
             workload.prop,
-            RfnConfig(enable_minimization=False, max_seconds=600),
+            RfnConfig(
+                enable_minimization=False, budget=Budget(max_seconds=3600)
+            ),
         ).run()
         return with_min, without
 

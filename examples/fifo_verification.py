@@ -18,6 +18,7 @@ from repro.core import RFN, RfnConfig
 from repro.designs.fifo import FifoParams, build_fifo
 from repro.mc import model_check_coi
 from repro.mc.reach import ReachLimits
+from repro.runtime import Budget
 from repro.netlist.ops import coi_stats
 
 
@@ -52,7 +53,9 @@ def main():
 
         baseline = model_check_coi(
             circuit, prop,
-            limits=ReachLimits(max_nodes=400_000, max_seconds=60),
+            limits=ReachLimits(
+                max_nodes=400_000, budget=Budget(max_seconds=60)
+            ),
         )
         print(f"plain SMC + COI: {baseline.outcome.value} in "
               f"{baseline.seconds:.2f}s over {baseline.coi_registers} "

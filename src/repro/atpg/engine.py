@@ -17,7 +17,6 @@ signature.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -40,41 +39,31 @@ class AtpgOutcome(enum.Enum):
 
 @dataclass
 class AtpgBudget:
-    """Resource limits; ``None`` means unlimited.
+    """Per-solve caps; ``None`` means unlimited.
 
-    The propagation cap is the solver's best wall-clock proxy: it bounds
-    searches that wander without conflicting (huge satisfiable-looking
+    The countable caps (conflicts, decisions, propagations) bound each
+    solver call and keep the paper's three-way answer: exceeding one is
+    ``ABORTED``, a return code.  The propagation cap bounds searches
+    that wander without conflicting (huge satisfiable-looking
     unrollings), which a pure conflict budget never would.
 
-    ``max_seconds``/``deadline`` put a true wall-clock bound on every
-    solver call (``deadline`` is an absolute ``time.monotonic()``
-    instant; ``max_seconds`` is relative to the call).  Exceeding either
-    keeps the historical return-code semantics (``ABORTED``).
-    ``runtime`` optionally attaches a :class:`repro.runtime.Budget`,
-    which charges conflicts/decisions to the shared run budget and
-    *raises* a structured ``EngineAbort`` -- the portfolio supervisor's
+    ``runtime`` optionally attaches a :class:`repro.runtime.Budget`, the
+    only wall-clock limit: it charges conflicts/decisions to the shared
+    run budget and *raises* a structured ``EngineAbort`` (``Timeout``
+    once its deadline passes) -- the portfolio supervisor's
     exception-based path."""
 
     max_conflicts: Optional[int] = 200_000
     max_decisions: Optional[int] = None
     max_propagations: Optional[int] = 50_000_000
-    max_seconds: Optional[float] = None
-    deadline: Optional[float] = None
     runtime: Optional[object] = None
 
     def solve_kwargs(self) -> Dict[str, object]:
         """Keyword arguments for :meth:`repro.sat.solver.Solver.solve`."""
-        deadline = self.deadline
-        if self.max_seconds is not None:
-            relative = time.monotonic() + self.max_seconds
-            deadline = (
-                relative if deadline is None else min(deadline, relative)
-            )
         return {
             "max_conflicts": self.max_conflicts,
             "max_decisions": self.max_decisions,
             "max_propagations": self.max_propagations,
-            "deadline": deadline,
             "budget": self.runtime,
         }
 

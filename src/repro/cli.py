@@ -65,7 +65,7 @@ from repro.netlist import (
 )
 from repro.netlist.ops import coi_stats
 from repro.obs import tracer as obs
-from repro.runtime import Budget, ChaosMonkey, RfnCheckpoint
+from repro.runtime import Budget, ChaosMonkey, EngineAbort, RfnCheckpoint
 from repro.sim import RandomSimulator
 from repro.trace import Trace
 from repro.vcd import trace_to_vcd
@@ -225,43 +225,45 @@ def cmd_verify(args) -> int:
         )
     prop = UnreachabilityProperty(args.name, target)
     log = print if args.verbose else None
+    # --timeout is the one time flag: every branch runs under this budget.
+    budget = (
+        Budget(max_seconds=args.timeout) if args.timeout is not None else None
+    )
 
     if args.engine == "bmc":
-        result = bmc(
-            circuit,
-            prop,
-            max_depth=args.max_depth,
-            max_seconds=args.timeout,
-            unique_states=args.unique_states,
-        )
-        extra = (
-            f" (k-induction at depth {result.induction_depth})"
-            if result.induction_depth is not None
-            else ""
-        )
-        print(f"BMC: {result.outcome.value} at depth {result.depth}"
-              f"{extra} in {result.seconds:.2f}s")
-        trace = result.trace
-        status_code = verdict_to_exit(
-            {
-                BmcOutcome.FALSE: Verdict.FALSIFIED,
-                BmcOutcome.TRUE: Verdict.VERIFIED,
-            }.get(result.outcome, Verdict.UNKNOWN)
-        )
-    elif args.engine == "smc":
-        max_seconds = args.max_seconds
-        if args.timeout is not None:
-            max_seconds = (
-                args.timeout
-                if max_seconds is None
-                else min(max_seconds, args.timeout)
+        try:
+            result = bmc(
+                circuit,
+                prop,
+                max_depth=args.max_depth,
+                unique_states=args.unique_states,
+                budget=budget,
             )
+        except EngineAbort as abort:
+            print(f"BMC: unknown ({abort.describe()}) "
+                  f"in {budget.elapsed():.2f}s")
+            trace = None
+            status_code = verdict_to_exit(Verdict.UNKNOWN)
+        else:
+            extra = (
+                f" (k-induction at depth {result.induction_depth})"
+                if result.induction_depth is not None
+                else ""
+            )
+            print(f"BMC: {result.outcome.value} at depth {result.depth}"
+                  f"{extra} in {result.seconds:.2f}s")
+            trace = result.trace
+            status_code = verdict_to_exit(
+                {
+                    BmcOutcome.FALSE: Verdict.FALSIFIED,
+                    BmcOutcome.TRUE: Verdict.VERIFIED,
+                }.get(result.outcome, Verdict.UNKNOWN)
+            )
+    elif args.engine == "smc":
         result = model_check_coi(
             circuit,
             prop,
-            limits=ReachLimits(
-                max_seconds=max_seconds, max_nodes=args.max_nodes
-            ),
+            limits=ReachLimits(max_nodes=args.max_nodes, budget=budget),
         )
         print(f"plain SMC+COI: {result.outcome.value} "
               f"({result.coi_registers} COI registers, "
@@ -276,11 +278,6 @@ def cmd_verify(args) -> int:
     elif args.engine == "portfolio":
         from repro.parallel import race
 
-        budget = (
-            Budget(max_seconds=args.timeout)
-            if args.timeout is not None
-            else None
-        )
         chaos = ChaosMonkey.parse(args.chaos) if args.chaos else None
         outcome = race(
             circuit,
@@ -302,20 +299,11 @@ def cmd_verify(args) -> int:
         trace = outcome.trace
         status_code = verdict_to_exit(outcome.verdict)
     elif args.engine in registry and args.engine != "rfn":
-        budget = (
-            Budget(max_seconds=args.timeout)
-            if args.timeout is not None
-            else None
-        )
         engine = registry.get(args.engine)
         result = engine.run(
             circuit,
             prop,
-            Limits(
-                max_seconds=args.max_seconds,
-                max_depth=args.max_depth,
-                budget=budget,
-            ),
+            Limits(max_depth=args.max_depth, budget=budget),
         )
         witness = f" [{result.witness}]" if result.witness else ""
         print(f"{engine.name}: {result.verdict} ({result.detail}) "
@@ -323,15 +311,9 @@ def cmd_verify(args) -> int:
         trace = result.trace
         status_code = verdict_to_exit(result.verdict)
     else:
-        budget = (
-            Budget(max_seconds=args.timeout)
-            if args.timeout is not None
-            else None
-        )
         chaos = ChaosMonkey.parse(args.chaos) if args.chaos else None
         checkpoint_path = args.checkpoint or args.resume
         config = RfnConfig(
-            max_seconds=args.max_seconds,
             max_iterations=args.max_iterations,
             log=log,
             budget=budget,
@@ -886,12 +868,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="portfolio: comma-separated strategy subset, e.g. "
         "'bdd,kinduction' (default: bdd,rfn,kinduction,bmc)",
     )
-    p_verify.add_argument("--max-seconds", type=float, default=None)
     p_verify.add_argument("--max-nodes", type=int, default=2_000_000)
     p_verify.add_argument(
         "--timeout", type=float, default=None,
-        help="run budget in seconds, enforced cooperatively inside "
-        "every engine's hot loop (rfn: structured RESOURCE_OUT)",
+        help="run budget in seconds (the one time limit), enforced "
+        "cooperatively inside every engine's hot loop; running out is "
+        "an inconclusive verdict (exit 2)",
     )
     p_verify.add_argument("--max-iterations", type=int, default=64,
                           help="rfn: CEGAR iteration cap")

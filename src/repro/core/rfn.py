@@ -63,13 +63,22 @@ from repro.runtime.supervisor import CONTAINED, AbortInfo, Supervisor
 # which engine and which resource (checkpoint files keep recording the
 # historical "resource_out" status string).
 
+#: each supervised retry scales a step's countable caps by
+#: ``RETRY_SCALE**attempt``
+RETRY_SCALE = 2.0
+#: cap on COI gates x depth for Step 3's sequential ATPG; larger
+#: instances use only the cheap trace-replay path (see guided.py)
+GUIDED_MAX_GATE_FRAMES = 2_000_000
+
 
 @dataclass
 class RfnConfig:
-    """Tuning knobs for one RFN run."""
+    """Tuning knobs for one RFN run.
+
+    ``budget`` is the run's only wall-clock limit; ``max_iterations``
+    and the reach/ATPG caps are countable."""
 
     max_iterations: int = 64
-    max_seconds: Optional[float] = None
     reach_limits: ReachLimits = field(default_factory=ReachLimits)
     atpg_budget: AtpgBudget = field(default_factory=AtpgBudget)
     refine_budget: AtpgBudget = field(
@@ -78,15 +87,10 @@ class RfnConfig:
     enable_guided_search: bool = True
     enable_minimization: bool = True
     guidance: bool = True  # cycle cubes for Step 3 (ablation knob)
-    # Cap on COI gates x depth for Step 3's sequential ATPG; larger
-    # instances use only the cheap trace-replay path (see guided.py).
-    guided_max_gate_frames: Optional[int] = 2_000_000
     auto_reorder: bool = True
     # Seed each iteration's variable order with the order dynamic
     # reordering found in the previous one (Section 2.2, last paragraph).
     reuse_variable_order: bool = True
-    fallback_candidates: int = 8
-    guided_extra_depth: int = 0
     # Section-5 future work: try the overlapping-partition approximate
     # traversal before exact reachability once the abstract model has
     # more registers than one block holds (None = disabled).
@@ -95,17 +99,15 @@ class RfnConfig:
     log: Optional[Callable[[str], None]] = None
     # --- resilience (repro.runtime) -----------------------------------
     #: run-level budget; its deadline/memory watermark is polled inside
-    #: every engine's hot loop
+    #: every engine's hot loop (the run's only wall-clock limit)
     budget: Optional[Budget] = None
     #: deterministic fault injector wrapped around every supervised step
     chaos: Optional[ChaosMonkey] = None
     #: write the CEGAR state here after each iteration (for --resume)
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 1
     #: supervised-step retries; each retry scales step budgets by
-    #: ``retry_scale**attempt``
+    #: ``RETRY_SCALE**attempt``
     max_retries: int = 1
-    retry_scale: float = 2.0
     #: k-induction depth for the abstract-model BMC fallback of Step 2
     fallback_bmc_depth: int = 24
     #: >= 2 races Step 2 (bdd vs k-induction on the abstract model)
@@ -197,7 +199,6 @@ class RFN:
             chaos=self.config.chaos,
             log=self.config.log,
             max_retries=self.config.max_retries,
-            retry_scale=self.config.retry_scale,
         )
         self.iterations: List[RfnIteration] = []
         self._completed = 0  # refinement iterations already done
@@ -366,11 +367,12 @@ class RFN:
                 resumed_iterations=self.resumed_iterations,
             )
 
+        # Step 2's exact and approximate fixpoints poll the run budget.
+        reach_limits = config.reach_limits
+        if budget is not None and reach_limits.budget is None:
+            reach_limits = replace(reach_limits, budget=budget)
+
         for index in range(self._completed + 1, config.max_iterations + 1):
-            if config.max_seconds is not None and (
-                time.monotonic() - start > config.max_seconds
-            ):
-                return finish(Verdict.UNKNOWN, detail="time limit")
             if budget is not None:
                 try:
                     budget.checkpoint(engine="rfn")
@@ -452,7 +454,7 @@ class RFN:
                         target,
                         block_size=config.approx_block_size,
                         overlap=config.approx_overlap,
-                        limits=config.reach_limits,
+                        limits=reach_limits,
                     )
                     if approx.outcome is ApproxOutcome.PROVED:
                         record.reach_outcome = "approx_proved"
@@ -465,9 +467,9 @@ class RFN:
                         return finish(Verdict.VERIFIED)
 
                 def reach_step(attempt: int):
-                    limits = config.reach_limits
+                    limits = reach_limits
                     if attempt > 0:
-                        scale = config.retry_scale ** attempt
+                        scale = RETRY_SCALE ** attempt
                         limits = replace(
                             limits,
                             max_iterations=(
@@ -480,14 +482,7 @@ class RFN:
                                 if limits.max_nodes is None
                                 else int(limits.max_nodes * scale)
                             ),
-                            max_seconds=(
-                                None
-                                if limits.max_seconds is None
-                                else limits.max_seconds * scale
-                            ),
                         )
-                    if budget is not None and limits.budget is None:
-                        limits = replace(limits, budget=budget)
                     reach = forward_reach(
                         images,
                         encoding.initial_states(),
@@ -587,7 +582,7 @@ class RFN:
                 if abstract_trace is None:
 
                     def hybrid_step(attempt: int):
-                        scale = config.retry_scale ** attempt
+                        scale = RETRY_SCALE ** attempt
                         atpg_budget = config.atpg_budget
                         if attempt > 0:
                             atpg_budget = replace(
@@ -684,8 +679,7 @@ class RFN:
                         [abstract_trace],
                         budget=replace(config.atpg_budget, runtime=budget),
                         use_guidance=config.guidance,
-                        extra_depth=config.guided_extra_depth,
-                        max_gate_frames=config.guided_max_gate_frames,
+                        max_gate_frames=GUIDED_MAX_GATE_FRAMES,
                     )
 
                 step = supervisor.attempt("guided", guided_step, retries=0)
@@ -722,7 +716,7 @@ class RFN:
                     config.refine_budget, runtime=budget
                 )
                 if attempt > 0:
-                    scale = config.retry_scale ** attempt
+                    scale = RETRY_SCALE ** attempt
                     refine_budget = replace(
                         refine_budget,
                         max_conflicts=(
@@ -736,16 +730,13 @@ class RFN:
                     abstract_trace,
                     budget=refine_budget,
                     minimize=config.enable_minimization,
-                    fallback_count=config.fallback_candidates,
                 )
 
             def refine_fallback(_attempt: int):
                 # Phase 1 only: 3-valued-simulation candidates without the
                 # ATPG minimization loop (cheap and always terminates).
                 return crucial_register_candidates(
-                    self.abstraction,
-                    abstract_trace,
-                    fallback_count=config.fallback_candidates,
+                    self.abstraction, abstract_trace
                 )
 
             step = supervisor.attempt(
@@ -799,10 +790,7 @@ class RFN:
                     )
             self._completed = index
             self._close_iter_span("refined", record)
-            if (
-                config.checkpoint_path is not None
-                and index % max(1, config.checkpoint_every) == 0
-            ):
+            if config.checkpoint_path is not None:
                 self.save_checkpoint(
                     "in_progress", time.monotonic() - start
                 )

@@ -26,6 +26,7 @@ import itertools
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
+from repro.bdd import BDD
 from repro.core.property import UnreachabilityProperty
 from repro.engine.base import (
     BOUNDED,
@@ -52,8 +53,14 @@ from repro.mc.bmc import BmcOutcome, bmc
 from repro.mc.checker import _extract_error_trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
-from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
+from repro.mc.reach import (
+    ReachLimits,
+    ReachOutcome,
+    budgeted_build,
+    forward_reach,
+)
 from repro.netlist.circuit import Circuit
+from repro.runtime.abort import EngineAbort
 from repro.trace import Trace
 
 
@@ -89,7 +96,6 @@ class BmcEngine(Engine):
             prop,
             max_depth=depth,
             max_conflicts=limits.max_conflicts,
-            max_seconds=limits.max_seconds,
             induction=False,
             budget=limits.budget,
         )
@@ -136,7 +142,6 @@ class KInductionEngine(Engine):
             prop,
             max_depth=depth,
             max_conflicts=limits.max_conflicts,
-            max_seconds=limits.max_seconds,
             induction=True,
             unique_states=True,
             budget=limits.budget,
@@ -183,13 +188,24 @@ class BddReachEngine(Engine):
     ) -> VerifyResult:
         prop.validate_against(circuit)
         reduced = coi_model(circuit, prop.signals())
-        encoding = SymbolicEncoding(reduced)
-        encoding.bdd.auto_reorder = True
-        images = ImageComputer(encoding)
+        manager = BDD()
+        manager.auto_reorder = True
+        try:
+            with budgeted_build(manager, limits.budget):
+                encoding = SymbolicEncoding(reduced, bdd=manager)
+                images = ImageComputer(encoding)
+        except EngineAbort as abort:
+            # The same answer as an abort inside the fixpoint.
+            return VerifyResult(
+                engine=self.name,
+                verdict=Verdict.UNKNOWN,
+                detail=(
+                    "reachability resource limit "
+                    f"({abort.resource}, building the transition relation)"
+                ),
+            )
         target = encoding.state_cube(dict(prop.target))
-        reach_limits = ReachLimits(
-            max_seconds=limits.max_seconds, budget=limits.budget
-        )
+        reach_limits = ReachLimits(budget=limits.budget)
         if limits.max_bdd_nodes is not None:
             reach_limits.max_nodes = limits.max_bdd_nodes
         reach = forward_reach(
@@ -245,9 +261,7 @@ class RfnEngine(Engine):
         result = RFN(
             circuit,
             prop,
-            RfnConfig(
-                max_seconds=limits.max_seconds, budget=limits.budget
-            ),
+            RfnConfig(budget=limits.budget),
         ).run()
         iterations = len(result.iterations)
         if result.verified:
@@ -479,9 +493,7 @@ class AtpgEngine(Engine):
             else _sat_depth(circuit)
         )
         budget = AtpgBudget(
-            max_conflicts=limits.max_conflicts,
-            max_seconds=limits.max_seconds,
-            runtime=limits.budget,
+            max_conflicts=limits.max_conflicts, runtime=limits.budget
         )
         target = dict(prop.target)
         for depth in range(max_depth + 1):

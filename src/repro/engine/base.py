@@ -2,7 +2,9 @@
 
 An engine is anything that answers ``run(circuit, prop, limits) ->
 VerifyResult``.  Subclasses implement :meth:`Engine._run`; the public
-:meth:`Engine.run` wraps it with the standard containment the rest of
+:meth:`Engine.run` turns ``Limits.max_seconds`` into the run's
+:class:`~repro.runtime.budget.Budget` (the one wall-clock mechanism
+below it), wraps the body with the standard containment the rest of
 the system relies on (contained aborts degrade to ``UNKNOWN`` with an
 :class:`AbortInfo`, crashes degrade to ``ERROR``) and stamps elapsed
 time and the ``PERF`` snapshot.  The portfolio worker runs every
@@ -26,6 +28,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import time
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.property import UnreachabilityProperty
@@ -33,6 +36,7 @@ from repro.engine.result import Limits, VerifyResult
 from repro.engine.verdict import Verdict
 from repro.kernel.perf import PERF
 from repro.netlist.circuit import Circuit
+from repro.runtime.budget import Budget
 from repro.runtime.supervisor import CONTAINED, AbortInfo
 
 #: Capability tags.
@@ -87,8 +91,27 @@ class Engine(abc.ABC):
         raises short of ``KeyboardInterrupt``: contained aborts come
         back as ``UNKNOWN`` + :class:`AbortInfo`, crashes as ``ERROR``.
         ``contain=False`` propagates raw exceptions for callers with
-        their own classification."""
+        their own classification.
+
+        ``limits.max_seconds`` becomes the budget the engine body sees
+        (a child of ``limits.budget`` when both are set), so the float
+        and a ``Budget`` of the same seconds stop every engine at the
+        same point."""
         limits = limits if limits is not None else Limits()
+        if limits.max_seconds is not None:
+            parent = limits.budget
+            # Under a parent: its deadline, node cap and memory
+            # watermark still bind, and charges flow up to it.
+            budget = (
+                Budget(max_seconds=limits.max_seconds, name=self.name)
+                if parent is None
+                else parent.sub(
+                    self.name,
+                    seconds=limits.max_seconds,
+                    nodes=parent.max_bdd_nodes,
+                )
+            )
+            limits = replace(limits, max_seconds=None, budget=budget)
         start = time.perf_counter()
         try:
             result = self._run(circuit, prop, limits)

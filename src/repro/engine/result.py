@@ -1,12 +1,12 @@
 """`Limits` and `VerifyResult`: the one request/response pair every
 engine speaks.
 
-``Limits`` is the resource envelope an engine may spend: the countable
-caps mirror :class:`~repro.runtime.budget.Budget` fields (and a live
-``Budget`` rides along for engines that meter cooperatively), plus the
-engine-specific knobs -- unrolling depth for the SAT engines, a state
-cap for the explicit kernel.  Engines read the caps they understand and
-ignore the rest.
+``Limits`` is the resource envelope an engine may spend: a wall-clock
+cap that :meth:`~repro.engine.base.Engine.run` turns into the run's
+:class:`~repro.runtime.budget.Budget` (a live ``Budget`` may ride along
+too), countable caps, and the engine-specific knobs -- unrolling depth
+for the SAT engines, a state cap for the explicit kernel.  Engines read
+the caps they understand and ignore the rest.
 
 ``VerifyResult`` is the complete, self-describing answer: the canonical
 :class:`~repro.engine.verdict.Verdict`, a witness kind naming *why* the
@@ -47,10 +47,15 @@ WITNESS_KINDS = (
 class Limits:
     """Resource envelope for one engine run.
 
-    All caps are optional; ``None`` means unlimited.  A live ``Budget``
+    All caps are optional; ``None`` means unlimited.  ``max_seconds``
+    is the engine boundary's time limit: ``Engine.run`` turns it into
+    the ``Budget`` the engine body sees (a child of ``budget`` when both
+    are set), the only wall-clock mechanism below it.  A live ``Budget``
     (never serialized -- it holds a deadline and a parent link) carries
     the cooperative metering hooks; the scalar caps exist so a forked
     worker can rebuild an equivalent budget on its side of the pipe.
+    ``max_conflicts`` is the per-solve conflict cap the SAT adapters
+    read, not a run total.
     """
 
     max_seconds: Optional[float] = None

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.bdd import Function
-from repro.bdd.manager import BDDNodeLimit
 from repro.mc.encode import SymbolicEncoding, next_var_name
 from repro.mc.reach import ReachLimits
+from repro.runtime.abort import EngineAbort
 
 
 class ApproxOutcome(enum.Enum):
@@ -152,30 +152,30 @@ class ApproximateReach:
         limits: Optional[ReachLimits] = None,
         max_passes: int = 64,
     ) -> ApproxResult:
-        """Iterate all blocks to a simultaneous fixpoint."""
+        """Iterate all blocks to a simultaneous fixpoint.
+
+        ``limits.budget`` is polled per pass and inside every block
+        image (through the manager's checkpoint hook); its abort, like
+        a node-limit blowup, ends the run as ``RESOURCE_OUT``."""
         limits = limits or ReachLimits()
+        budget = limits.budget
         start = time.monotonic()
         reached = [self._project(init, block) for block in self.blocks]
         passes = 0
         saved_limit = self.bdd.node_limit
+        saved_hook = self.bdd.checkpoint_hook
         if limits.max_nodes is not None:
             self.bdd.node_limit = max(
                 limits.max_nodes * 4,
                 len(self.bdd._level) + limits.max_nodes,
             )
+        if budget is not None:
+            self.bdd.checkpoint_hook = budget.hook("approx")
         try:
             changed = True
             while changed and passes < max_passes:
-                if limits.max_seconds is not None and (
-                    time.monotonic() - start > limits.max_seconds
-                ):
-                    return ApproxResult(
-                        ApproxOutcome.RESOURCE_OUT,
-                        self.blocks,
-                        reached,
-                        passes,
-                        time.monotonic() - start,
-                    )
+                if budget is not None:
+                    budget.checkpoint(engine="approx")
                 passes += 1
                 changed = False
                 for index, block in enumerate(self.blocks):
@@ -192,7 +192,9 @@ class ApproximateReach:
                     if not new.is_false:
                         reached[index] = reached[index] | image
                         changed = True
-        except BDDNodeLimit:
+        except EngineAbort:
+            # BDDNodeLimit is a NodesOut: node blowups and budget
+            # deadline/memory aborts both land here.
             return ApproxResult(
                 ApproxOutcome.RESOURCE_OUT,
                 self.blocks,
@@ -202,6 +204,7 @@ class ApproximateReach:
             )
         finally:
             self.bdd.node_limit = saved_limit
+            self.bdd.checkpoint_hook = saved_hook
         return ApproxResult(
             ApproxOutcome.UNDECIDED,  # refined by check_target below
             self.blocks,

@@ -94,7 +94,7 @@ def _minimize_model(
     the counterexample a fresh per-depth solver would (the test-local
     reference BMC of ``tests/test_bmc_incremental.py`` pins this).
     ``solve_fn(assumptions)`` must return a :class:`SatResult`; a
-    non-SAT/UNSAT status (budget or deadline ran out mid-minimization)
+    non-SAT/UNSAT status (a per-solve cap ran out mid-minimization)
     falls back to the last model seen.
     """
     queries: List[int] = []
@@ -152,7 +152,6 @@ def _bounded_step(
     prop: UnreachabilityProperty,
     depth: int,
     max_conflicts: Optional[int],
-    deadline: Optional[float] = None,
     budget=None,
     canonical_trace: bool = False,
 ) -> Optional[Trace]:
@@ -164,10 +163,7 @@ def _bounded_step(
 
     def solve_fn(extra):
         return session.solve(
-            extra,
-            max_conflicts=max_conflicts,
-            deadline=deadline,
-            budget=budget,
+            extra, max_conflicts=max_conflicts, budget=budget
         )
 
     result = solve_fn(assumptions)
@@ -187,7 +183,6 @@ def _induction_step(
     depth: int,
     max_conflicts: Optional[int],
     unique_states: bool,
-    deadline: Optional[float] = None,
     budget=None,
 ) -> Optional[bool]:
     """The induction obligation on the persistent free-start session.
@@ -221,7 +216,6 @@ def _induction_step(
     result = session.solve(
         _bad_literals(unroller, prop, depth),
         max_conflicts=max_conflicts,
-        deadline=deadline,
         budget=budget,
     )
     if result.status is SatStatus.UNSAT:
@@ -247,7 +241,6 @@ def bmc(
     induction: bool = True,
     unique_states: bool = False,
     use_coi: bool = True,
-    max_seconds: Optional[float] = None,
     budget=None,
     canonical_trace: bool = False,
 ) -> BmcResult:
@@ -258,10 +251,11 @@ def bmc(
     induction obligation.  Both loops run on pooled persistent solver
     sessions (see module docstring).
 
-    ``max_seconds`` bounds the whole run (each SAT call inherits the
-    remaining wall clock; an exceeded deadline yields UNKNOWN).
-    ``budget`` optionally attaches a :class:`repro.runtime.Budget`,
-    whose exhaustion raises a structured ``EngineAbort`` instead.
+    ``max_conflicts`` caps each SAT call; a call that exhausts it
+    leaves that depth undecided and the search goes one deeper.
+    ``budget`` optionally attaches a :class:`repro.runtime.Budget`, the
+    only wall-clock limit: it is polled per depth and inside every SAT
+    call, and its exhaustion raises a structured ``EngineAbort``.
 
     ``canonical_trace`` lexicographically minimizes the counterexample,
     so the trace is independent of the pool's history (used by the
@@ -277,7 +271,6 @@ def bmc(
             induction=induction,
             unique_states=unique_states,
             use_coi=use_coi,
-            max_seconds=max_seconds,
             budget=budget,
             canonical_trace=canonical_trace,
         )
@@ -295,14 +288,10 @@ def _bmc_run(
     induction: bool = True,
     unique_states: bool = False,
     use_coi: bool = True,
-    max_seconds: Optional[float] = None,
     budget=None,
     canonical_trace: bool = False,
 ) -> BmcResult:
     start = time.monotonic()
-    deadline = (
-        None if max_seconds is None else start + max_seconds
-    )
     prop.validate_against(circuit)
     model = circuit
     if use_coi:
@@ -310,13 +299,11 @@ def _bmc_run(
     bounded_session = solver_session(model, cycles=1, use_initial_state=True)
     induction_session: Optional[SolverSession] = None
     for depth in range(max_depth + 1):
-        if deadline is not None and time.monotonic() >= deadline:
-            break
         if budget is not None:
             budget.checkpoint(engine="bmc")
         trace = _bounded_step(
             bounded_session, prop, depth, max_conflicts,
-            deadline, budget, canonical_trace,
+            budget, canonical_trace,
         )
         if trace is not None:
             return BmcResult(
@@ -342,7 +329,7 @@ def _bmc_run(
             )
             if depth >= watermark and _induction_step(
                 induction_session, prop, depth, max_conflicts,
-                unique_states, deadline, budget,
+                unique_states, budget,
             ):
                 return BmcResult(
                     BmcOutcome.TRUE,

@@ -17,14 +17,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.bdd import BDD
-from repro.bdd.manager import BDDNodeLimit
 from repro.core.property import UnreachabilityProperty
 from repro.kernel.scache import coi_model
 from repro.trace import Trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
-from repro.mc.reach import ReachLimits, ReachOutcome, forward_reach
+from repro.mc.reach import (
+    ReachLimits,
+    ReachOutcome,
+    budgeted_build,
+    forward_reach,
+)
 from repro.netlist.circuit import Circuit
+from repro.runtime.abort import EngineAbort
 
 
 class CheckOutcome(enum.Enum):
@@ -52,7 +57,10 @@ def model_check_coi(
     limits: Optional[ReachLimits] = None,
     produce_trace: bool = True,
 ) -> CheckResult:
-    """Check an unreachability property on the COI-reduced design."""
+    """Check an unreachability property on the COI-reduced design.
+
+    ``limits`` bound the encoding build as well as the fixpoint: a node
+    blowup or a budget abort during either is ``RESOURCE_OUT``."""
     start = time.monotonic()
     prop.validate_against(circuit)
     reduced = coi_model(circuit, prop.signals())
@@ -60,13 +68,14 @@ def model_check_coi(
     manager = BDD()
     manager.auto_reorder = True
     if limits is not None and limits.max_nodes is not None:
-        # Bound the encoding build itself, not just the fixpoint.
         manager.node_limit = limits.max_nodes * 4
+    budget = None if limits is None else limits.budget
     try:
-        encoding = SymbolicEncoding(reduced, bdd=manager)
-        images = ImageComputer(encoding)
-        target = encoding.state_cube(dict(prop.target))
-    except BDDNodeLimit:
+        with budgeted_build(manager, budget):
+            encoding = SymbolicEncoding(reduced, bdd=manager)
+            images = ImageComputer(encoding)
+            target = encoding.state_cube(dict(prop.target))
+    except EngineAbort:
         return CheckResult(
             CheckOutcome.RESOURCE_OUT,
             time.monotonic() - start,

@@ -9,22 +9,24 @@ backwards (Section 2.2).
 
 Resource limits (iterations, BDD nodes, wall-clock) end the run with the
 ``RESOURCE_OUT`` outcome -- the honest answer a Python BDD engine must
-give on designs the paper's C engines also found hard.  When a runtime
-:class:`~repro.runtime.budget.Budget` is attached via
-``ReachLimits.budget``, its deadline/memory watermark is polled inside
-image computations (through the manager's ``checkpoint_hook``) and the
+give on designs the paper's C engines also found hard.  Iterations and
+nodes are countable caps on :class:`ReachLimits`; wall clock comes only
+from a runtime :class:`~repro.runtime.budget.Budget` attached via
+``ReachLimits.budget``, whose deadline/memory watermark is polled inside
+image computations (through the manager's ``checkpoint_hook``).  Its
 abort is folded into the same ``RESOURCE_OUT`` outcome with the
 exhausted resource recorded in ``ReachResult.abort_resource``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
-from repro.bdd import Function
+from repro.bdd import BDD, Function
 from repro.kernel.perf import PERF
 from repro.mc.images import ImageComputer
 from repro.obs import tracer as obs
@@ -40,10 +42,11 @@ class ReachOutcome(enum.Enum):
 
 @dataclass
 class ReachLimits:
+    """Countable fixpoint caps plus the optional run budget (the only
+    wall-clock limit), polled inside image computations."""
+
     max_iterations: Optional[int] = None
     max_nodes: Optional[int] = 2_000_000
-    max_seconds: Optional[float] = None
-    #: optional runtime budget polled inside image computations
     budget: Optional[Budget] = None
 
 
@@ -61,6 +64,20 @@ class ReachResult:
     @property
     def fixpoint_reached(self) -> bool:
         return self.outcome is ReachOutcome.FIXPOINT
+
+
+@contextlib.contextmanager
+def budgeted_build(bdd: BDD, budget: Optional[Budget]) -> Iterator[None]:
+    """Poll ``budget`` inside the BDD work of the block -- the encoding
+    and transition-relation build before :func:`forward_reach`, which
+    installs its own hook -- and restore the manager's hook after."""
+    saved = bdd.checkpoint_hook
+    if budget is not None:
+        bdd.checkpoint_hook = budget.hook("bdd")
+    try:
+        yield
+    finally:
+        bdd.checkpoint_hook = saved
 
 
 def forward_reach(
@@ -142,10 +159,6 @@ def forward_reach(
             return make_result(
                 ReachOutcome.RESOURCE_OUT, resource="iterations"
             )
-        if limits.max_seconds is not None and (
-            time.monotonic() - start > limits.max_seconds
-        ):
-            return make_result(ReachOutcome.RESOURCE_OUT, resource="time")
         if max_nodes is not None and bdd.total_nodes() > max_nodes:
             bdd.collect_garbage()
             if bdd.total_nodes() > max_nodes:

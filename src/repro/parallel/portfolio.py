@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.property import UnreachabilityProperty
-from repro.engine import DisagreeError, Verdict, join_all
+from repro.engine import DisagreeError, Verdict, join_all, registry
 from repro.kernel.perf import PERF
 from repro.mc.bmc import BmcOutcome, bmc
 from repro.netlist.circuit import Circuit
@@ -190,9 +190,11 @@ def race(
     """Race ``strategies`` on one obligation; see the module docstring.
 
     Returns UNKNOWN (never raises a contained error) when no strategy
-    reaches a definite verdict within its slice.
+    reaches a definite verdict within its slice.  An unknown strategy
+    name is a ``ValueError`` in either mode, raised before any worker
+    starts.
     """
-    strategies = tuple(strategies)
+    strategies = registry.require(strategies)
     start = time.monotonic()
     limits = slice_limits(budget, len(strategies))
     result = PortfolioResult(

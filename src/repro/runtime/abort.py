@@ -10,11 +10,14 @@ could help.  This module is the single vocabulary: one base class with a
 ``injected`` flag so the chaos harness (:mod:`repro.runtime.chaos`) can
 raise the very same exceptions the real engines do.
 
-Design rule: engine-*local* budgets (``AtpgBudget`` conflict caps,
-``ReachLimits``) keep their historical return-code semantics; the
-*runtime* :class:`~repro.runtime.budget.Budget` is exception-based and
-raises these aborts from its cooperative ``checkpoint()``/``charge()``
-calls.  The portfolio supervisor is the only layer that catches them.
+Design rule: engine-*local* countable caps (``AtpgBudget``'s per-solve
+conflicts/decisions/propagations, ``ReachLimits``' iterations and
+nodes, BMC depth) keep their return-code semantics -- the paper's
+trace/impossible/resource-out answer; wall clock is the *runtime*
+:class:`~repro.runtime.budget.Budget` alone, which is exception-based
+and raises these aborts from its cooperative ``checkpoint()``/
+``charge()`` calls.  The portfolio supervisor, ``Engine.run`` and the
+fixpoint engines are the layers that catch them.
 """
 
 from __future__ import annotations

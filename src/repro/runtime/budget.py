@@ -2,13 +2,17 @@
 
 One :class:`Budget` carries every limit a verification run can have --
 wall-clock deadline, SAT conflicts/decisions, BDD nodes, a process
-memory watermark -- and is threaded *into* the engines' hot loops:
+memory watermark -- and is threaded *into* the engines' hot loops.  It
+is the only wall-clock mechanism below ``Engine.run`` (which turns
+``Limits.max_seconds`` into one):
 
 - ``sat.solver.Solver.solve(budget=...)`` charges conflicts/decisions
   and polls the deadline every few dozen decisions,
 - ``bdd.manager.BDD.checkpoint_hook`` polls it every few thousand node
-  allocations (so a single enormous image computation still aborts),
-- ``mc.reach.forward_reach`` polls it per fixpoint iteration,
+  allocations (so a single enormous image computation, or the
+  transition-relation build before it, still aborts),
+- ``mc.reach.forward_reach`` and ``mc.approx`` poll it per fixpoint
+  iteration, ``mc.bmc`` per unrolling depth,
 - ``kernel.bitsim.BitParallelSimulator`` polls it between plan segments,
 - the RFN loop polls it per CEGAR iteration.
 

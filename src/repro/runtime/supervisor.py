@@ -139,13 +139,11 @@ class Supervisor:
         chaos: Optional[ChaosMonkey] = None,
         log: Optional[Callable[[str], None]] = None,
         max_retries: int = 1,
-        retry_scale: float = 2.0,
     ) -> None:
         self.budget = budget
         self.chaos = chaos
         self.log = log
         self.max_retries = max_retries
-        self.retry_scale = retry_scale
         self.current_engine: Optional[str] = None
         self.aborts: List[AbortInfo] = []
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -527,35 +526,29 @@ class Solver:
         max_conflicts: Optional[int] = None,
         max_decisions: Optional[int] = None,
         max_propagations: Optional[int] = None,
-        deadline: Optional[float] = None,
         budget=None,
     ) -> SatResult:
         """Search for a model consistent with ``assumptions``.
 
-        Returns SAT with a total model, UNSAT, or UNKNOWN when a budget is
-        exhausted.  ``deadline`` is an absolute ``time.monotonic()``
-        instant: the restart loop and the per-decision poll check it so
-        no SAT call can exceed a wall-clock limit (UNKNOWN is returned,
-        matching the conflict/decision budget semantics).  ``budget`` is
-        an optional :class:`repro.runtime.Budget`: conflicts/decisions
-        are charged to it as search progresses and its ``checkpoint``
-        raises a structured :class:`repro.runtime.EngineAbort` -- the
-        exception-based path the portfolio supervisor consumes.
+        Returns SAT with a total model, UNSAT, or UNKNOWN when one of the
+        per-call caps (conflicts, decisions, propagations) is exhausted.
+        ``budget`` is an optional :class:`repro.runtime.Budget` and the
+        only wall-clock limit: conflicts/decisions are charged to it as
+        search progresses, and the restart loop and the per-decision
+        poll call its ``checkpoint``, which raises a structured
+        :class:`repro.runtime.EngineAbort` (``Timeout`` once the
+        deadline passes) -- the exception-based path the portfolio
+        supervisor consumes.  The budget is also polled on entry, so a
+        loop of quick calls (one per unrolling depth, one per
+        minimization probe) stops on it too.
         """
+        if budget is not None:
+            budget.checkpoint(engine="sat")
         if self._attached is not None and (
             self._absorbed < len(self._attached.clauses)
         ):
             self.absorb()  # pick up clauses appended since the last call
         stats_base = (self.conflicts, self.decisions, self.propagations)
-        if budget is not None:
-            budget_deadline = budget.deadline
-            if budget_deadline is not None:
-                deadline = (
-                    budget_deadline
-                    if deadline is None
-                    else min(deadline, budget_deadline)
-                )
-
         charged = [0, 0]  # conflicts, decisions already charged to budget
 
         def sync_budget(enforce: bool = True) -> None:
@@ -606,8 +599,6 @@ class Solver:
         conflicts_at_start = self.conflicts
 
         def out_of_budget() -> bool:
-            if deadline is not None and time.monotonic() >= deadline:
-                return True
             sync_budget()  # raises EngineAbort when a runtime limit trips
             if max_conflicts is not None and (
                 self.conflicts - conflicts_at_start >= max_conflicts
@@ -695,7 +686,7 @@ class Solver:
                     self._enqueue(learned[0], clause)
                 self._decay_activities()
                 # Conflict-heavy phases reach few decisions, so poll the
-                # wall-clock/runtime budget on the conflict path too.
+                # caps and the runtime budget on the conflict path too.
                 if local_conflicts % 256 == 0 and out_of_budget():
                     return None
                 continue

@@ -670,12 +670,12 @@ class Daemon:
         self._close_attempt_span(slot, f"infra:{reason.split(' ')[0]}")
 
     def _reap(self, slot: _Slot, reason: str,
-              blame: Optional[str] = None) -> None:
-        """Common teardown for a dead/preempted worker: attribute the
-        failure to the strategy that was running, requeue."""
-        blamed = blame or slot.current_strategy
-        if blamed is not None:
-            self.board.record(blamed, ok=False)
+              blame: Optional[str]) -> None:
+        """Common teardown for a dead/preempted worker: record a failure
+        against ``blame`` (the strategy that was running; None records
+        nothing), release unused half-open probes, requeue."""
+        if blame is not None:
+            self.board.record(blame, ok=False)
         for strategy in slot.unprobed():
             self.board.release(strategy)
         self._requeue_or_fail(slot, reason)
@@ -721,6 +721,7 @@ class Daemon:
                     slot,
                     f"worker died (exitcode {death.exitcode}) "
                     f"during {during}",
+                    blame=slot.current_strategy,
                 )
                 continue
             self._handle_message(slot, message)

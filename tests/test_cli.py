@@ -113,6 +113,30 @@ class TestResilienceCli:
         assert code == 2
         assert "resource out" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine, label", [
+        ("bmc", "BMC: unknown"),
+        ("smc", "plain SMC+COI: resource_out"),
+    ])
+    def test_timeout_in_bespoke_branches_is_one_report_line(
+        self, true_netlist, capsys, engine, label
+    ):
+        # --timeout is verify's one time flag, a budget for every branch;
+        # running out is an inconclusive verdict, never a traceback.
+        path, wd = true_netlist
+        code = main(["verify", path, "--watchdog", wd,
+                     "--engine", engine, "--timeout", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].startswith(label)
+        assert len(captured.out.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    def test_max_seconds_flag_is_gone(self, true_netlist, capsys):
+        path, wd = true_netlist
+        code = main(["verify", path, "--watchdog", wd, "--max-seconds", "1"])
+        assert code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_target_is_usage_error(self, true_netlist, capsys):
         path, _ = true_netlist
         assert main(["verify", path]) == 3

@@ -5,6 +5,7 @@ import pytest
 from repro.core import RFN, RfnConfig
 from repro.engine import Verdict
 from repro.mc.reach import ReachLimits
+from repro.runtime import Budget
 from repro.sim import Simulator
 
 from tests.conftest import buggy_counter, chain_design, padded, toggle_design
@@ -73,10 +74,12 @@ class TestResourceLimits:
 
     def test_time_limit(self):
         c, prop = chain_design(depth=6)
-        config = RfnConfig(max_seconds=0.0)
+        config = RfnConfig(budget=Budget(max_seconds=0.0))
         result = RFN(c, prop, config).run()
         assert result.status is Verdict.UNKNOWN
-        assert result.detail == "time limit"
+        assert result.failure is not None
+        assert result.failure.resource == "time"
+        assert result.detail == result.failure.describe()
 
     def test_reach_resource_out_degrades_to_bmc_fallback(self):
         # A reachability blowup no longer kills the run: the supervisor

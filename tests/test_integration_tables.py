@@ -22,6 +22,7 @@ from repro.designs import table1_workloads, table2_workloads
 from repro.mc import CheckOutcome, model_check_coi
 from repro.mc.reach import ReachLimits
 from repro.netlist.ops import coi_stats
+from repro.runtime import Budget
 from repro.sim import Simulator
 
 
@@ -34,7 +35,7 @@ def table1():
 def rfn_results(table1):
     results = {}
     for workload in table1:
-        config = RfnConfig(max_seconds=300)
+        config = RfnConfig(budget=Budget(max_seconds=300))
         results[workload.name] = RFN(
             workload.circuit, workload.prop, config
         ).run()
@@ -78,7 +79,9 @@ class TestTable1Shape:
         result = model_check_coi(
             workload.circuit,
             workload.prop,
-            limits=ReachLimits(max_nodes=60_000, max_seconds=20),
+            limits=ReachLimits(
+                max_nodes=60_000, budget=Budget(max_seconds=20)
+            ),
         )
         assert result.outcome is CheckOutcome.RESOURCE_OUT
 

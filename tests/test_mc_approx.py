@@ -15,6 +15,7 @@ from repro.mc.approx import (
 from repro.mc.reach import ReachLimits
 from repro.netlist import Circuit
 from repro.netlist.words import WordReg, w_eq_const, w_inc
+from repro.runtime import Budget
 
 
 def saturating_counter_circuit(width=4, ceiling=9):
@@ -126,7 +127,7 @@ class TestApproximateReach:
         approx = ApproximateReach(encoding, block_size=2, overlap=1)
         result = approx.run(
             encoding.initial_states(),
-            limits=ReachLimits(max_seconds=0.0),
+            limits=ReachLimits(budget=Budget(max_seconds=0.0)),
         )
         assert result.outcome is ApproxOutcome.RESOURCE_OUT
 

@@ -40,6 +40,7 @@ from repro.parallel.envelope import (
     budget_from_limits,
     slice_limits,
 )
+from repro.parallel import portfolio
 from repro.parallel.portfolio import race
 from repro.parallel.shard import SKIPPED, ShardError, shard_map
 from repro.parallel.worker import STRATEGY_ORDER, run_strategy
@@ -150,6 +151,23 @@ def test_expired_parent_budget_yields_unknown():
     result = race(circuit, prop, budget=budget)
     assert result.verdict is Verdict.UNKNOWN
     assert result.envelopes == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_strategy_rejected_before_any_worker(monkeypatch, jobs):
+    """Both modes reject an unknown name with the same usage error, and
+    nothing runs: no forked worker, no in-process strategy."""
+    started = []
+    monkeypatch.setattr(
+        portfolio, "Worker", lambda *args: started.append(args[1])
+    )
+    monkeypatch.setattr(
+        portfolio, "run_strategy", lambda *args, **kw: started.append(args[0])
+    )
+    circuit, prop = toggle_design()
+    with pytest.raises(ValueError, match="unknown engine 'nosuch'"):
+        race(circuit, prop, strategies=("bdd", "nosuch"), jobs=jobs)
+    assert started == []
 
 
 # --------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
 from repro.bdd.manager import BDDError, BDDNodeLimit
 from repro.core import RfnConfig, rfn_verify
-from repro.engine import Verdict
+from repro.engine import Limits, Verdict, registry
 from repro.kernel.bitsim import BitParallelSimulator, pack_bits
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
@@ -157,11 +157,6 @@ class TestAbortTaxonomy:
 
 
 class TestSolverBudget:
-    def test_past_deadline_returns_unknown(self):
-        solver = Solver(pigeonhole(7, 6))
-        result = solver.solve(deadline=time.monotonic() - 1.0)
-        assert result.status is SatStatus.UNKNOWN
-
     def test_runtime_conflicts_raise(self):
         budget = Budget(max_conflicts=200)
         solver = Solver(pigeonhole(7, 6))
@@ -235,23 +230,26 @@ class TestReachBudget:
 
 class TestAtpgBudget:
     def test_solve_kwargs_deadline_from_max_seconds(self):
-        budget = AtpgBudget(max_seconds=5.0)
-        kwargs = budget.solve_kwargs()
-        assert kwargs["deadline"] == pytest.approx(
+        # The wall clock reaches the solver only as the runtime budget,
+        # whose deadline derives from its max_seconds.
+        kwargs = AtpgBudget(runtime=Budget(max_seconds=5.0)).solve_kwargs()
+        assert "deadline" not in kwargs
+        assert kwargs["budget"].deadline == pytest.approx(
             time.monotonic() + 5.0, abs=1.0
         )
 
-    def test_solve_kwargs_takes_earlier_deadline(self):
-        soon = time.monotonic() + 1.0
-        budget = AtpgBudget(max_seconds=100.0, deadline=soon)
-        assert budget.solve_kwargs()["deadline"] == soon
-
     def test_max_seconds_zero_gives_unknown(self):
-        # The deadline from solve_kwargs() reaches the solver's restart
-        # loop: a search-heavy instance stops as UNKNOWN immediately.
-        kwargs = AtpgBudget(max_seconds=0.0).solve_kwargs()
-        result = Solver(pigeonhole(7, 6)).solve(**kwargs)
-        assert result.status is SatStatus.UNKNOWN
+        # At the engine boundary a zero time limit is an UNKNOWN verdict
+        # naming the exhausted resource, whichever way it is spelled.
+        circuit, prop = buggy_counter()
+        for limits in (
+            Limits(max_seconds=0.0),
+            Limits(budget=Budget(max_seconds=0.0)),
+        ):
+            result = registry.get("atpg").run(circuit, prop, limits)
+            assert result.verdict is Verdict.UNKNOWN
+            assert result.abort is not None
+            assert result.abort.resource == "time"
 
     def test_runtime_budget_raises_through_solve_kwargs(self):
         kwargs = AtpgBudget(
@@ -269,9 +267,7 @@ class TestAtpgBudget:
             circuit,
             11,
             {10: dict(prop.target)},
-            budget=AtpgBudget(
-                max_seconds=30.0, runtime=Budget(max_seconds=30.0)
-            ),
+            budget=AtpgBudget(runtime=Budget(max_seconds=30.0)),
             skip_missing=True,
         )
         assert result.outcome is AtpgOutcome.TRACE_FOUND

@@ -26,6 +26,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -311,6 +312,54 @@ class TestWatchdog:
         result = read_result(queue_dir, job_id)
         assert result["verdict"] == "falsified"
         assert result["winner"] == "bmc"
+
+
+class TestDrain:
+    def test_drain_requeues_without_blaming_the_strategy(self, tmp_path):
+        """A graceful drain preempts a job mid-strategy by the daemon's
+        choice, not the engine's fault: the running strategy's breaker
+        window stays empty, and the job goes back to the queue with the
+        attempt it consumed."""
+        queue_dir = str(tmp_path / "q")
+        job_id = submit_job(
+            queue_dir,
+            design_job(
+                buggy_counter,
+                "cnt",
+                strategies=["kinduction", "bmc"],
+                chaos="kinduction=sleep",
+            ),
+        )
+        daemon = Daemon(
+            fast_config(
+                queue_dir,
+                workers=1,
+                until_idle=False,
+                drain_grace=0.1,
+                hang_seconds=None,
+                heartbeat_timeout=None,
+            )
+        )
+
+        def drain_once_kinduction_runs():
+            _wait_for(lambda: any(
+                slot.current_strategy == "kinduction"
+                for slot in list(daemon.slots.values())
+            ))
+            daemon._request_drain()
+
+        trigger = threading.Thread(target=drain_once_kinduction_runs)
+        trigger.start()
+        try:
+            assert daemon.run() == 0
+        finally:
+            trigger.join(timeout=60)
+        assert list(daemon.board.breaker("kinduction").window) == []
+        assert read_result(queue_dir, job_id) is None
+        (job,) = queue_status(queue_dir)["jobs"]
+        assert job["id"] == job_id
+        assert job["state"] == "queued"
+        assert job["attempt"] == 1
 
 
 def _orphan_pids(records):
