@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.atpg.engine import AtpgBudget
-from repro.core import RFN, RfnConfig
 from repro.core.abstraction import Abstraction
 from repro.core.guided import guided_concrete_search
 from repro.core.hybrid import HybridTraceEngine

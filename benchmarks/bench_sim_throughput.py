@@ -22,7 +22,6 @@ pytest (``pytest benchmarks/bench_sim_throughput.py``).
 from __future__ import annotations
 
 import random
-import sys
 import time
 
 from repro.atpg.encode import Unroller

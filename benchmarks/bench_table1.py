@@ -21,13 +21,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import RFN, RfnConfig
-from repro.designs import table1_workloads
+from repro.designs import paper_scale_enabled, table1_workloads
 from repro.engine import Verdict
 from repro.mc import CheckOutcome, model_check_coi
 from repro.mc.reach import ReachLimits
 from repro.netlist.ops import coi_stats
 from repro.runtime import Budget
-from reporting import emit_table
+from reporting import emit_json, emit_table
 
 WORKLOADS = table1_workloads()
 _ROWS = {}
@@ -50,14 +50,14 @@ def test_table1_rfn(benchmark, workload):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     expected = Verdict.VERIFIED if workload.expected else Verdict.FALSIFIED
     assert result.status is expected
-    _ROWS[workload.name] = (
-        workload.name,
-        coi_regs,
-        coi_gates,
-        f"{result.seconds:.2f}",
-        "T" if result.verified else "F",
-        result.abstract_model_registers,
-    )
+    _ROWS[workload.name] = {
+        "property": workload.name,
+        "coi_registers": coi_regs,
+        "coi_gates": coi_gates,
+        "seconds": round(result.seconds, 4),
+        "verdict": result.status.value,
+        "abstract_registers": result.abstract_model_registers,
+    }
 
 
 @pytest.mark.parametrize(
@@ -95,7 +95,25 @@ def report():
         "Table 1. Property Verification Results (RFN)",
         ["Property", "Regs in COI", "Gates in COI", "Time (s)", "Result",
          "Regs in abstract model"],
-        rows,
+        [
+            (
+                row["property"],
+                row["coi_registers"],
+                row["coi_gates"],
+                f"{row['seconds']:.2f}",
+                "T" if row["verdict"] == Verdict.VERIFIED.value else "F",
+                row["abstract_registers"],
+            )
+            for row in rows
+        ],
+    )
+    emit_json(
+        "table1",
+        {
+            "benchmark": "table1",
+            "paper_scale": paper_scale_enabled(),
+            "rows": rows,
+        },
     )
     if _BASELINE:
         emit_table(

@@ -14,7 +14,7 @@ Run:  python examples/fifo_verification.py [--paper-scale]
 import argparse
 import time
 
-from repro.core import RFN, RfnConfig
+from repro.core import RFN
 from repro.designs.fifo import FifoParams, build_fifo
 from repro.mc import model_check_coi
 from repro.mc.reach import ReachLimits

@@ -14,8 +14,6 @@ Walks one design through the whole stack:
 Run:  python examples/rtl_to_proof.py
 """
 
-import io
-
 from repro.aig import circuit_to_aig, to_aiger
 from repro.aig.convert import strash_circuit
 from repro.core import RFN, UnreachabilityProperty

@@ -204,9 +204,7 @@ class FrameTemplate:
             local.name_of(var) for var in range(1, local.num_vars + 1)
         ]
         self.slots = slots
-        self.clauses: List[Tuple[int, ...]] = [
-            tuple(clause) for clause in local.clauses
-        ]
+        self.clauses: List[Tuple[int, ...]] = local.clauses
 
     def instantiate(self, cnf: CNF, frame: int) -> Dict[str, int]:
         """Add this frame's variables and clauses to ``cnf`` with

@@ -7,6 +7,10 @@
   spans and their nested ``step.*`` / ``portfolio.*`` children;
 - a fuzz campaign rollup (instances, mismatches, resource-outs, shard
   lanes) from ``fuzz.*`` spans;
+- a self-time table per span name (a span's duration minus its
+  children's, as in the folded export), so every instrumented layer --
+  RFN steps, ATPG, BMC, the SAT solver's ``sat.solve``/``sat.absorb``
+  -- shows its share of the run;
 - a counters summary from the final metrics snapshot;
 - an abort/retry digest from supervisor events.
 
@@ -17,6 +21,8 @@ RFN section, and vice versa.
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+from repro.obs.export import to_folded
 
 
 def _spans(records: List[dict], name: Optional[str] = None) -> List[dict]:
@@ -240,6 +246,29 @@ def _counters_section(records: List[dict]) -> List[str]:
     return lines
 
 
+def _self_time_section(records: List[dict]) -> List[str]:
+    self_us: Dict[str, int] = {}
+    for line in to_folded(records):
+        stack, value = line.rsplit(" ", 1)
+        name = stack.rsplit(";", 1)[-1]
+        self_us[name] = self_us.get(name, 0) + int(value)
+    if not self_us:
+        return []
+    calls: Dict[str, int] = {}
+    for record in _spans(records):
+        name = record.get("name", "?")
+        calls[name] = calls.get(name, 0) + 1
+    total = sum(self_us.values()) or 1
+    rows = [
+        [name, str(calls.get(name, 0)), f"{us / 1e6:.3f}s",
+         f"{100.0 * us / total:.1f}%"]
+        for name, us in sorted(self_us.items(), key=lambda kv: (-kv[1], kv[0]))
+    ]
+    lines = ["Self time by span", ""]
+    lines.extend(_table(["span", "calls", "self", "share"], rows))
+    return lines
+
+
 def _lanes_section(records: List[dict]) -> List[str]:
     spans = _spans(records)
     if not spans:
@@ -269,6 +298,7 @@ def render_report(records: List[dict]) -> str:
             _rfn_section(records),
             _fuzz_section(records),
             _serve_section(records),
+            _self_time_section(records),
             _lanes_section(records),
             _supervisor_section(records),
             _counters_section(records),

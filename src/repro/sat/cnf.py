@@ -3,11 +3,18 @@
 Literals follow the DIMACS convention: variables are positive integers,
 a negative integer is the negated variable.  The container also keeps an
 optional name table so circuit encodings stay debuggable.
+
+Clauses are stored as tuples of ints.  They are immutable, so frame
+templates and the solver can read them without copying defensively, and
+CPython's cyclic garbage collector stops tracking an all-int tuple the
+first time it examines it: a large unrolling costs later collections
+nothing.  (A list per clause would be traversed by every full
+collection for as long as the CNF lives.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class CNF:
@@ -15,7 +22,7 @@ class CNF:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        self.clauses: List[List[int]] = []
+        self.clauses: List[Tuple[int, ...]] = []
         self._name2var: Dict[str, int] = {}
         self._var2name: Dict[int, str] = {}
 
@@ -54,7 +61,7 @@ class CNF:
             if lit not in seen:
                 seen.add(lit)
                 clause.append(lit)
-        self.clauses.append(clause)
+        self.clauses.append(tuple(clause))
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
@@ -88,7 +95,7 @@ class CNF:
         tautology checks of :meth:`add_clause` -- callers guarantee the
         templates are clean (they were built through ``add_clause``)."""
         self.clauses.extend(
-            [lit + offset if lit > 0 else lit - offset for lit in clause]
+            tuple([lit + offset if lit > 0 else lit - offset for lit in clause])
             for clause in clauses
         )
 
@@ -135,7 +142,7 @@ class CNF:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def clauses_since(self, start: int) -> List[List[int]]:
+    def clauses_since(self, start: int) -> List[Tuple[int, ...]]:
         """The clauses appended after watermark ``start`` (a previous
         ``num_clauses`` reading).  This is the sync contract incremental
         solving relies on: clauses are append-only, so an attached

@@ -27,6 +27,16 @@ Two mechanisms make single-instance reuse practical:
   negation and garbage-collecting the group's clauses (learned clauses
   that depend on the group carry the same literal and are collected with
   it; independent learned clauses survive).
+
+A clause is one ``list`` of literals, its two watched literals first,
+held as is by the clause database, the watch lists and the reason
+array; learned-clause activity lives in a side table keyed by ``id()``.
+One object per clause matters for session building: every container the
+solver keeps alive is one more object CPython's cyclic garbage collector
+traverses on each full collection, and a CEGAR run loads hundreds of
+sessions of tens of thousands of clauses.  The lists are the solver's
+own (propagation reorders their literals); the attached CNF's clause
+tuples are only read.
 """
 
 from __future__ import annotations
@@ -34,8 +44,9 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs import tracer as obs
 from repro.sat.cnf import CNF
 
 UNASSIGNED = -1
@@ -70,15 +81,6 @@ class SatResult:
         return self.status is SatStatus.UNKNOWN
 
 
-class _Clause:
-    __slots__ = ("lits", "learned", "activity")
-
-    def __init__(self, lits: List[int], learned: bool = False) -> None:
-        self.lits = lits
-        self.learned = learned
-        self.activity = 0.0
-
-
 class Solver:
     """CDCL solver over DIMACS-style integer literals."""
 
@@ -86,7 +88,7 @@ class Solver:
         self._nvars = 0
         self._value: List[int] = [UNASSIGNED]  # 1-indexed by var
         self._level: List[int] = [0]
-        self._reason: List[Optional[_Clause]] = [None]
+        self._reason: List[Optional[List[int]]] = [None]
         self._phase: List[int] = [0]
         self._activity: List[float] = [0.0]
         self._var_inc = 1.0
@@ -94,9 +96,12 @@ class Solver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._order: List[tuple] = []  # lazy max-heap of (-activity, var)
-        self._watches: Dict[int, List[_Clause]] = {}
-        self._clauses: List[_Clause] = []
-        self._learned: List[_Clause] = []
+        self._watches: Dict[int, List[List[int]]] = {}
+        self._clauses: List[List[int]] = []
+        self._learned: List[List[int]] = []
+        # Learned-clause activity keyed by id(clause): holds exactly the
+        # clauses in _learned, so membership doubles as the learned flag.
+        self._cla_activity: Dict[int, float] = {}
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._qhead = 0
@@ -116,18 +121,26 @@ class Solver:
     # ------------------------------------------------------------------
 
     def new_var(self) -> int:
-        self._nvars += 1
-        self._value.append(UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._phase.append(0)
-        self._activity.append(0.0)
-        heapq.heappush(self._order, (0.0, self._nvars))
+        self._ensure_var(self._nvars + 1)
         return self._nvars
 
     def _ensure_var(self, var: int) -> None:
-        while self._nvars < var:
-            self.new_var()
+        """Grow the per-variable arrays and the decision heap to ``var``
+        variables, one ``extend`` each.  Extending the heap is exactly
+        what one ``heappush`` per variable leaves: activities are
+        non-negative and every new variable exceeds every old one, so
+        each new ``(0.0, v)`` entry is >= every entry already there."""
+        old = self._nvars
+        if var <= old:
+            return
+        count = var - old
+        self._nvars = var
+        self._value.extend([UNASSIGNED] * count)
+        self._level.extend([0] * count)
+        self._reason.extend([None] * count)
+        self._phase.extend([0] * count)
+        self._activity.extend([0.0] * count)
+        self._order.extend([(0.0, v) for v in range(old + 1, var + 1)])
 
     # ------------------------------------------------------------------
     # Incremental growth: attached CNF sync and activation-literal groups
@@ -163,10 +176,14 @@ class Solver:
         if pending and self._trail_lim:
             raise RuntimeError("absorb only permitted at decision level 0")
         self._absorbed = len(cnf.clauses)
-        while self._nvars < cnf.num_vars:
-            self.new_var()
-        if self._unsat:
+        self._ensure_var(cnf.num_vars)
+        if self._unsat or not pending:
             return self._absorbed - start
+        with obs.span("sat.absorb", clauses=len(pending)):
+            self._load(pending)
+        return self._absorbed - start
+
+    def _load(self, pending: List[Tuple[int, ...]]) -> None:
         value = self._value
         watches = self._watches
         problem = self._clauses
@@ -177,7 +194,7 @@ class Solver:
                     if value[lit if lit > 0 else -lit] != UNASSIGNED:
                         break
                 else:
-                    attached = _Clause(clause[:])
+                    attached = list(clause)
                     problem.append(attached)
                     watchers = watches.get(clause[0])
                     if watchers is None:
@@ -193,7 +210,6 @@ class Solver:
             self.add_clause(clause)
             if self._unsat:
                 break
-        return self._absorbed - start
 
     def push(self) -> int:
         """Open a retractable clause group; returns its activation
@@ -221,17 +237,18 @@ class Solver:
             raise RuntimeError("pop only permitted at decision level 0")
         act = self._groups.pop()
         marker = -act
-        survivors: List[_Clause] = []
+        survivors: List[List[int]] = []
         for clause in self._clauses:
-            if marker in clause.lits:
+            if marker in clause:
                 self._detach(clause)
             else:
                 survivors.append(clause)
         self._clauses = survivors
-        learned_survivors: List[_Clause] = []
+        learned_survivors: List[List[int]] = []
         for clause in self._learned:
-            if marker in clause.lits:
+            if marker in clause:
                 self._detach(clause)
+                del self._cla_activity[id(clause)]
             else:
                 learned_survivors.append(clause)
         self._learned = learned_survivors
@@ -292,20 +309,23 @@ class Solver:
                 self._unsat = True
                 return False
             return True
-        clause = _Clause(lits)
-        self._clauses.append(clause)
-        self._attach(clause)
+        self._clauses.append(lits)
+        self._attach(lits)
         return True
 
-    def _attach(self, clause: _Clause) -> None:
-        self._watches.setdefault(clause.lits[0], []).append(clause)
-        self._watches.setdefault(clause.lits[1], []).append(clause)
+    def _attach(self, clause: List[int]) -> None:
+        self._watches.setdefault(clause[0], []).append(clause)
+        self._watches.setdefault(clause[1], []).append(clause)
 
-    def _detach(self, clause: _Clause) -> None:
-        for lit in clause.lits[:2]:
+    def _detach(self, clause: List[int]) -> None:
+        # By identity: two clauses with equal literals are equal lists.
+        for lit in clause[:2]:
             watchers = self._watches.get(lit)
-            if watchers is not None and clause in watchers:
-                watchers.remove(clause)
+            if watchers is not None:
+                for index, other in enumerate(watchers):
+                    if other is clause:
+                        del watchers[index]
+                        break
 
     # ------------------------------------------------------------------
     # Assignment plumbing
@@ -321,7 +341,7 @@ class Solver:
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
+    def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
         value = self._lit_value(lit)
         if value != UNASSIGNED:
             return value == 1
@@ -332,7 +352,7 @@ class Solver:
         self._trail.append(lit)
         return True
 
-    def _propagate(self) -> Optional[_Clause]:
+    def _propagate(self) -> Optional[List[int]]:
         while self._qhead < len(self._trail):
             lit = self._trail[self._qhead]
             self._qhead += 1
@@ -341,35 +361,34 @@ class Solver:
             watchers = self._watches.get(false_lit)
             if not watchers:
                 continue
-            kept: List[_Clause] = []
-            conflict: Optional[_Clause] = None
+            kept: List[List[int]] = []
+            conflict: Optional[List[int]] = None
             index = 0
             while index < len(watchers):
-                clause = watchers[index]
+                lits = watchers[index]
                 index += 1
-                lits = clause.lits
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
                 if self._lit_value(first) == 1:
-                    kept.append(clause)
+                    kept.append(lits)
                     continue
                 moved = False
                 for k in range(2, len(lits)):
                     if self._lit_value(lits[k]) != 0:
                         lits[1], lits[k] = lits[k], lits[1]
-                        self._watches.setdefault(lits[1], []).append(clause)
+                        self._watches.setdefault(lits[1], []).append(lits)
                         moved = True
                         break
                 if moved:
                     continue
                 # Clause is unit or conflicting.
-                kept.append(clause)
+                kept.append(lits)
                 if self._lit_value(first) == 0:
-                    conflict = clause
+                    conflict = lits
                     kept.extend(watchers[index:])
                     break
-                self._enqueue(first, clause)
+                self._enqueue(first, lits)
             self._watches[false_lit] = kept
             if conflict is not None:
                 return conflict
@@ -406,30 +425,32 @@ class Solver:
         self._var_inc /= self._var_decay
         self._cla_inc /= self._cla_decay
 
-    def _bump_clause(self, clause: _Clause) -> None:
-        clause.activity += self._cla_inc
-        if clause.activity > 1e100:
-            for c in self._learned:
-                c.activity *= 1e-100
+    def _bump_clause(self, clause: List[int]) -> None:
+        activity = self._cla_activity
+        bumped = activity[id(clause)] + self._cla_inc
+        activity[id(clause)] = bumped
+        if bumped > 1e100:
+            for key in activity:
+                activity[key] *= 1e-100
             self._cla_inc *= 1e-100
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
 
-    def _analyze(self, conflict: _Clause) -> tuple:
+    def _analyze(self, conflict: List[int]) -> tuple:
         """First-UIP learning; returns (learned_lits, backtrack_level)."""
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self._nvars + 1)
         counter = 0
         p = 0
         index = len(self._trail) - 1
-        clause: Optional[_Clause] = conflict
+        clause: Optional[List[int]] = conflict
         while True:
             if clause is not None:
-                if clause.learned:
+                if id(clause) in self._cla_activity:
                     self._bump_clause(clause)
-                for q in clause.lits:
+                for q in clause:
                     if p != 0 and q == -p:
                         continue
                     var = abs(q)
@@ -455,7 +476,7 @@ class Solver:
             reason = self._reason[abs(lit)]
             if reason is None:
                 return False
-            for other in reason.lits:
+            for other in reason:
                 var = abs(other)
                 if var == abs(lit):
                     continue
@@ -486,12 +507,14 @@ class Solver:
             for lit in self._trail
             if self._reason[abs(lit)] is not None
         }
-        self._learned.sort(key=lambda c: c.activity)
+        activity = self._cla_activity
+        self._learned.sort(key=lambda c: activity[id(c)])
         cut = len(self._learned) // 2
-        survivors: List[_Clause] = []
+        survivors: List[List[int]] = []
         for i, clause in enumerate(self._learned):
-            if i < cut and id(clause) not in locked and len(clause.lits) > 2:
+            if i < cut and id(clause) not in locked and len(clause) > 2:
                 self._detach(clause)
+                del activity[id(clause)]
             else:
                 survivors.append(clause)
         self._learned = survivors
@@ -542,6 +565,22 @@ class Solver:
         loop of quick calls (one per unrolling depth, one per
         minimization probe) stops on it too.
         """
+        with obs.span("sat.solve") as phase:
+            result = self._solve(
+                assumptions, max_conflicts, max_decisions, max_propagations,
+                budget,
+            )
+            phase.set(status=result.status.value, conflicts=result.conflicts)
+            return result
+
+    def _solve(
+        self,
+        assumptions: Sequence[int],
+        max_conflicts: Optional[int],
+        max_decisions: Optional[int],
+        max_propagations: Optional[int],
+        budget,
+    ) -> SatResult:
         if budget is not None:
             budget.checkpoint(engine="sat")
         if self._attached is not None and (
@@ -679,11 +718,11 @@ class Solver:
                         self._unsat = True
                         return SatStatus.UNSAT
                 else:
-                    clause = _Clause(learned, learned=True)
-                    self._learned.append(clause)
-                    self._attach(clause)
-                    self._bump_clause(clause)
-                    self._enqueue(learned[0], clause)
+                    self._learned.append(learned)
+                    self._cla_activity[id(learned)] = 0.0
+                    self._attach(learned)
+                    self._bump_clause(learned)
+                    self._enqueue(learned[0], learned)
                 self._decay_activities()
                 # Conflict-heavy phases reach few decisions, so poll the
                 # caps and the runtime budget on the conflict path too.

@@ -1,7 +1,5 @@
 """Tests for the CLI convert command, frontends and the BMC engine."""
 
-import pytest
-
 from repro.cli import main
 from repro.designs import free_counter
 from repro.designs.counters import saturating_counter, shift_chain

@@ -9,7 +9,7 @@ from repro.core.coverage import (
     bfs_coverage_analysis,
 )
 from repro.netlist import Circuit, NetlistError
-from repro.netlist.words import WordReg, w_eq_const, w_inc
+from repro.netlist.words import WordReg, w_inc
 
 
 def one_hot_ring(n=3):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.atpg.engine import AtpgBudget
 from repro.core import RFN, guided
 from repro.core.guided import (
     guided_concrete_search,
@@ -15,7 +14,7 @@ from repro.engine import Verdict
 from repro.fuzz.gen import generate_instance
 from repro.trace import Trace
 from repro.netlist import Circuit
-from repro.netlist.words import WordReg, w_eq, w_eq_const, w_inc, word_input
+from repro.netlist.words import WordReg, w_eq_const, w_inc, word_input
 from repro.sim import Simulator
 
 

@@ -1,8 +1,6 @@
 """Tests for the two-phase refinement (3-valued sim + greedy ATPG)."""
 
-import pytest
-
-from repro.atpg.engine import AtpgBudget, AtpgOutcome
+from repro.atpg.engine import AtpgOutcome
 from repro.core.abstraction import Abstraction
 from repro.core.property import watchdog_property
 from repro.core.refine import (

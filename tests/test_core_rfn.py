@@ -1,7 +1,5 @@
 """End-to-end tests of the RFN abstraction-refinement loop."""
 
-import pytest
-
 from repro.core import RFN, RfnConfig
 from repro.engine import Verdict
 from repro.mc.reach import ReachLimits

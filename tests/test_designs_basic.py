@@ -1,7 +1,5 @@
 """Tests for the small canonical designs and the workload registry."""
 
-import pytest
-
 from repro.designs import (
     free_counter,
     one_hot_ring,

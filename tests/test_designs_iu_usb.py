@@ -3,7 +3,7 @@
 import pytest
 
 from repro.designs.picojava_iu import IuParams, build_iu
-from repro.designs.usb import UsbParams, build_usb
+from repro.designs.usb import build_usb
 from repro.netlist.ops import coi_registers
 from repro.sim import RandomSimulator, Simulator
 

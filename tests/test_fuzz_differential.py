@@ -16,7 +16,6 @@ import pytest
 import repro.fuzz.gen as gen_mod
 import repro.fuzz.oracle as oracle_mod
 from repro.fuzz import (
-    GenConfig,
     OracleConfig,
     Verdict,
     generate_instance,

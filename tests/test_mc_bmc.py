@@ -1,7 +1,5 @@
 """Tests for bounded model checking and k-induction."""
 
-import pytest
-
 from repro.mc.bmc import BmcOutcome, bmc
 from repro.sim import Simulator
 

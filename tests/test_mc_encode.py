@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.bdd import BDD
 from repro.mc import SymbolicEncoding
 from repro.mc.encode import next_var_name, static_variable_order

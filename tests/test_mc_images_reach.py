@@ -2,12 +2,10 @@
 
 import itertools
 
-import pytest
-
 from repro.mc import ImageComputer, ReachOutcome, SymbolicEncoding, forward_reach
 from repro.mc.reach import ReachLimits
 from repro.netlist import Circuit
-from repro.netlist.words import WordReg, w_eq_const, w_inc
+from repro.netlist.words import WordReg, w_inc
 from repro.sim import Simulator
 
 

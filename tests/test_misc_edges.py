@@ -1,7 +1,5 @@
 """Edge-case tests for assorted engine surfaces."""
 
-import os
-
 import pytest
 
 from repro.bdd import BDD

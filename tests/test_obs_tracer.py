@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.kernel.perf import PERF, PerfCounters
+from repro.kernel.perf import PerfCounters
 from repro.obs import (
     NULL_SPAN,
     SCHEMA_VERSION,
@@ -323,6 +323,42 @@ class TestExporters:
     def test_report_renders(self):
         text = render_report(_synthetic_records())
         assert "Worker lanes" in text
+
+    def test_report_self_time_by_span(self):
+        lines = render_report(_synthetic_records()).splitlines()
+        start = lines.index("Self time by span")
+        rows = [line.split() for line in lines[start + 4:start + 7]]
+        assert rows == [
+            ["outer", "1", "0.030s", "50.0%"],
+            ["inner", "1", "0.020s", "33.3%"],
+            ["work", "1", "0.010s", "16.7%"],
+        ]
+
+
+class TestSolverSpans:
+    def test_solve_and_non_empty_absorb_are_spans(self):
+        from repro.sat import CNF, Solver
+
+        cnf = CNF()
+        a, b = cnf.new_var(), cnf.new_var()
+        cnf.add_clause([a, b])
+        cnf.add_clause([-a, b])
+        solver = Solver()
+        solver.attach(cnf)
+        TRACER.enable()
+        solver.solve()  # absorbs the two pending clauses first
+        solver.absorb()  # nothing pending: no span
+        solver.solve([-b])
+        spans = [r for r in TRACER.records() if r["type"] == "span"]
+        assert [s["name"] for s in spans] == [
+            "sat.absorb", "sat.solve", "sat.solve",
+        ]
+        absorb, first, second = spans
+        assert absorb["parent"] == first["id"]
+        assert absorb["attrs"] == {"clauses": 2}
+        assert first["attrs"]["status"] == "sat"
+        assert second["attrs"]["status"] == "unsat"
+        assert "sat.solve" in render_report(TRACER.records())
 
 
 class TestPerfBackend:

@@ -36,7 +36,6 @@ from repro.fuzz.gen import generate_instance
 from repro.kernel.perf import PERF
 from repro.engine import FunctionEngine, Verdict, VerifyResult, registry
 from repro.parallel.envelope import (
-    WorkerEnvelope,
     budget_from_limits,
     slice_limits,
 )

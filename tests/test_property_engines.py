@@ -12,7 +12,6 @@ from repro.netlist import Circuit, circuit_from_text, circuit_to_text
 from repro.netlist.cell import GateOp
 from repro.sat import Solver
 from repro.sim import Simulator, X
-from repro.sim.logic3 import eval_gate
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.runtime import (
     ConflictsOut,
     EngineAbort,
     Garbage,
-    StepResult,
     Supervisor,
     Timeout,
 )

@@ -39,7 +39,7 @@ def state(solver):
     clauses = solver._clauses + solver._learned
     index = {id(c): i for i, c in enumerate(clauses)}
     return {
-        "clauses": [list(c.lits) for c in clauses],
+        "clauses": clauses,
         "learned": len(solver._learned),
         "watches": {
             lit: [index[id(c)] for c in watchers]

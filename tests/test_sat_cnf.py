@@ -39,7 +39,7 @@ class TestClauses:
         cnf = CNF()
         a, b = cnf.new_var(), cnf.new_var()
         cnf.add_clause([a, -b])
-        assert cnf.clauses == [[a, -b]]
+        assert cnf.clauses == [(a, -b)]
 
     def test_tautology_dropped(self):
         cnf = CNF()
@@ -51,7 +51,7 @@ class TestClauses:
         cnf = CNF()
         a = cnf.new_var()
         cnf.add_clause([a, a, a])
-        assert cnf.clauses == [[a]]
+        assert cnf.clauses == [(a,)]
 
     def test_out_of_range_literal(self):
         cnf = CNF()
@@ -135,7 +135,7 @@ class TestDimacs:
         text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n"
         cnf = CNF.from_dimacs(text)
         assert cnf.num_vars == 3
-        assert cnf.clauses == [[1, -2], [2, 3]]
+        assert cnf.clauses == [(1, -2), (2, 3)]
 
     def test_parse_bad_problem_line(self):
         with pytest.raises(ValueError):

@@ -268,3 +268,26 @@ class TestStats:
         stats = solver.stats()
         assert stats["vars"] == 6
         assert stats["propagations"] >= 0
+
+
+class TestClauseStorage:
+    def test_detach_removes_by_identity(self):
+        # Equal literal lists compare equal; only the detached object
+        # may leave the watch lists.
+        solver = Solver()
+        solver.add_clause([1, 2, 3])
+        solver.add_clause([1, 2, 3])
+        first, second = solver._clauses
+        solver._detach(second)
+        assert [id(c) for c in solver._watches[1]] == [id(first)]
+        assert [id(c) for c in solver._watches[2]] == [id(first)]
+
+    @pytest.mark.parametrize("name", ["plain-150-8", "group-80-5"])
+    def test_activity_table_holds_exactly_the_learned_clauses(self, name):
+        # A reduction (plain-150-8) and a pop (group-80-5) drop learned
+        # clauses; their activity entries must go with them.
+        from tests.test_sat_search_pins import run_case
+
+        _, solver = run_case(name)
+        assert solver._learned
+        assert set(solver._cla_activity) == {id(c) for c in solver._learned}

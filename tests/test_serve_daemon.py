@@ -20,7 +20,6 @@ for speed; the subprocess tests use the real CLI entry point with
 default durability.
 """
 
-import json
 import os
 import random
 import signal

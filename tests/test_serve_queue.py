@@ -2,8 +2,6 @@
 journal fold semantics, admission control, backoff, retry budgets.
 """
 
-import pytest
-
 from repro.serve.journal import Journal, replay_dir
 from repro.serve.queue import (
     DEFAULT_MAX_ATTEMPTS,

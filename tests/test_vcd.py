@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.trace import Trace
 from repro.vcd import _group_signals, _identifier, trace_to_vcd, write_vcd
 
