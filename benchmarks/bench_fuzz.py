@@ -13,7 +13,7 @@ Runs standalone (``python benchmarks/bench_fuzz.py``) or under pytest
 
 from __future__ import annotations
 
-from repro.fuzz import GenConfig, OracleConfig, run_campaign
+from repro.fuzz import GenConfig, run_campaign
 
 from reporting import emit_json
 
@@ -26,7 +26,6 @@ def run_benchmark() -> dict:
         seed=SEED,
         iters=ITERS,
         gen_config=GenConfig(),
-        oracle_config=OracleConfig(),
         shrink=False,  # findings fail the gate; no need to minimize here
     )
     consensus = {"verified": 0, "falsified": 0, "none": 0}

@@ -16,8 +16,7 @@ import time
 
 from repro.core import RFN
 from repro.designs.fifo import FifoParams, build_fifo
-from repro.mc import model_check_coi
-from repro.mc.reach import ReachLimits
+from repro.engine import Limits, registry
 from repro.runtime import Budget
 from repro.netlist.ops import coi_stats
 
@@ -51,15 +50,12 @@ def main():
                   f"{record.reach_outcome} in {record.reach_iterations} "
                   f"images, +{record.refinement_added} registers")
 
-        baseline = model_check_coi(
+        baseline = registry.get("bdd").run(
             circuit, prop,
-            limits=ReachLimits(
-                max_nodes=400_000, budget=Budget(max_seconds=60)
-            ),
+            Limits(max_bdd_nodes=400_000, budget=Budget(max_seconds=60)),
         )
-        print(f"plain SMC + COI: {baseline.outcome.value} in "
-              f"{baseline.seconds:.2f}s over {baseline.coi_registers} "
-              f"registers")
+        print(f"plain SMC + COI: {baseline.verdict} ({baseline.detail}) "
+              f"in {baseline.seconds:.2f}s over {coi_regs} registers")
 
 
 if __name__ == "__main__":

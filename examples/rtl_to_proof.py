@@ -18,7 +18,7 @@ from repro.aig import circuit_to_aig, to_aiger
 from repro.aig.convert import strash_circuit
 from repro.core import RFN, UnreachabilityProperty
 from repro.core.certify import certify_invariant
-from repro.mc import model_check_coi
+from repro.engine import registry
 from repro.mc.bmc import bmc
 from repro.netlist import parse_verilog
 
@@ -64,9 +64,8 @@ def main():
           f"{optimized.num_registers} registers in the abstract model)")
 
     # 3b. Plain symbolic model checking with COI reduction.
-    smc = model_check_coi(optimized, prop)
-    print(f"plain SMC:    {smc.outcome.value} "
-          f"({smc.coi_registers} COI registers)")
+    smc = registry.get("bdd").run(optimized, prop)
+    print(f"plain SMC:    {smc.verdict} ({smc.detail})")
 
     # 3c. SAT-based k-induction.
     kind = bmc(optimized, prop, max_depth=16, unique_states=True)

@@ -3,7 +3,8 @@
 Commands
 --------
 ``stats``      parse a netlist file and print design statistics
-``verify``     run RFN (or the plain COI model checker) on a property
+``verify``     run RFN (or any registered engine, or a portfolio race)
+               on a property
 ``coverage``   unreachable-coverage-state analysis (RFN or BFS method)
 ``simulate``   random simulation with a rendered waveform
 ``fuzz``       differential fuzzing of the verification engines
@@ -42,7 +43,6 @@ from repro.core import RfnConfig, UnreachabilityProperty, rfn_verify
 from repro.engine import (
     EXIT_USAGE,
     Limits,
-    Verdict,
     batch_exit,
     registry,
     result_exit,
@@ -53,9 +53,6 @@ from repro.core.coverage import (
     CoverageConfig,
     bfs_coverage_analysis,
 )
-from repro.mc import model_check_coi
-from repro.mc.bmc import BmcOutcome, bmc
-from repro.mc.reach import ReachLimits
 from repro.netlist import (
     NetlistError,
     NetlistParseError,
@@ -65,7 +62,7 @@ from repro.netlist import (
 )
 from repro.netlist.ops import coi_stats
 from repro.obs import tracer as obs
-from repro.runtime import Budget, ChaosMonkey, EngineAbort, RfnCheckpoint
+from repro.runtime import Budget, ChaosMonkey, RfnCheckpoint
 from repro.sim import RandomSimulator
 from repro.trace import Trace
 from repro.vcd import trace_to_vcd
@@ -230,52 +227,7 @@ def cmd_verify(args) -> int:
         Budget(max_seconds=args.timeout) if args.timeout is not None else None
     )
 
-    if args.engine == "bmc":
-        try:
-            result = bmc(
-                circuit,
-                prop,
-                max_depth=args.max_depth,
-                unique_states=args.unique_states,
-                budget=budget,
-            )
-        except EngineAbort as abort:
-            print(f"BMC: unknown ({abort.describe()}) "
-                  f"in {budget.elapsed():.2f}s")
-            trace = None
-            status_code = verdict_to_exit(Verdict.UNKNOWN)
-        else:
-            extra = (
-                f" (k-induction at depth {result.induction_depth})"
-                if result.induction_depth is not None
-                else ""
-            )
-            print(f"BMC: {result.outcome.value} at depth {result.depth}"
-                  f"{extra} in {result.seconds:.2f}s")
-            trace = result.trace
-            status_code = verdict_to_exit(
-                {
-                    BmcOutcome.FALSE: Verdict.FALSIFIED,
-                    BmcOutcome.TRUE: Verdict.VERIFIED,
-                }.get(result.outcome, Verdict.UNKNOWN)
-            )
-    elif args.engine == "smc":
-        result = model_check_coi(
-            circuit,
-            prop,
-            limits=ReachLimits(max_nodes=args.max_nodes, budget=budget),
-        )
-        print(f"plain SMC+COI: {result.outcome.value} "
-              f"({result.coi_registers} COI registers, "
-              f"{result.seconds:.2f}s)")
-        trace = result.trace
-        status_code = verdict_to_exit(
-            {
-                "false": Verdict.FALSIFIED,
-                "true": Verdict.VERIFIED,
-            }.get(result.outcome.value, Verdict.UNKNOWN)
-        )
-    elif args.engine == "portfolio":
+    if args.engine == "portfolio":
         from repro.parallel import race
 
         chaos = ChaosMonkey.parse(args.chaos) if args.chaos else None
@@ -298,7 +250,7 @@ def cmd_verify(args) -> int:
             print(f"  DISAGREEMENT: {outcome.disagreement}")
         trace = outcome.trace
         status_code = verdict_to_exit(outcome.verdict)
-    elif args.engine in registry and args.engine != "rfn":
+    elif args.engine != "rfn":
         engine = registry.get(args.engine)
         result = engine.run(
             circuit,
@@ -433,7 +385,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from repro.fuzz import GenConfig, OracleConfig, run_campaign
+    from repro.fuzz import GenConfig, run_campaign
 
     gen_config = GenConfig(
         max_registers=args.max_registers, max_gates=args.max_gates
@@ -445,7 +397,6 @@ def cmd_fuzz(args) -> int:
         instance_seconds=args.instance_budget,
         jobs=args.jobs,
         gen_config=gen_config,
-        oracle_config=OracleConfig(),
         corpus_dir=args.corpus,
         shrink=not args.no_shrink,
         log=print if args.verbose else None,
@@ -849,13 +800,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--engine",
         choices=(
-            "rfn", "smc", "bmc", "portfolio",
-            "bdd", "kinduction", "kernel", "atpg",
+            "rfn", "portfolio",
+            "atpg", "bdd", "bmc", "kernel", "kinduction",
         ),
         default="rfn",
-        help="rfn/smc/bmc/portfolio keep their bespoke reporting; any "
-        "other registered engine (see 'repro engines') runs through "
-        "the canonical repro.engine entrypoint",
+        help="rfn (the default) and portfolio keep their own reporting; "
+        "every other registered engine (see 'repro engines') runs "
+        "through the canonical repro.engine entrypoint and prints one "
+        "'<engine>: <verdict> (<detail>)' line; bdd is the plain "
+        "COI-reduced symbolic model checker of Table 1",
     )
     p_verify.add_argument(
         "--jobs", type=int, default=0,
@@ -868,7 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="portfolio: comma-separated strategy subset, e.g. "
         "'bdd,kinduction' (default: bdd,rfn,kinduction,bmc)",
     )
-    p_verify.add_argument("--max-nodes", type=int, default=2_000_000)
     p_verify.add_argument(
         "--timeout", type=float, default=None,
         help="run budget in seconds (the one time limit), enforced "
@@ -892,9 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'reach=timeout@0,hybrid=garbage' (testing aid)",
     )
     p_verify.add_argument("--max-depth", type=int, default=32,
-                          help="BMC unrolling bound")
-    p_verify.add_argument("--unique-states", action="store_true",
-                          help="BMC: simple-path induction constraints")
+                          help="bmc/kinduction/atpg: unrolling bound")
     p_verify.add_argument("--vcd", help="write the error trace as VCD")
     p_verify.add_argument(
         "--trace", metavar="PATH",

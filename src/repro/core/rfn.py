@@ -279,7 +279,6 @@ class RFN:
             budget=config.budget,
             chaos=config.chaos,
             log=config.log,
-            canonicalize=True,
         )
         self.supervisor.aborts.extend(outcome.aborts)
         return outcome

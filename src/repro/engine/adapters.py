@@ -23,7 +23,7 @@ dialect.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.atpg.engine import AtpgBudget, AtpgOutcome, sequential_atpg
 from repro.bdd import BDD
@@ -50,18 +50,21 @@ from repro.engine.result import (
 from repro.engine.verdict import Verdict
 from repro.kernel.scache import coi_model
 from repro.mc.bmc import BmcOutcome, bmc
-from repro.mc.checker import _extract_error_trace
 from repro.mc.encode import SymbolicEncoding
 from repro.mc.images import ImageComputer
 from repro.mc.reach import (
     ReachLimits,
     ReachOutcome,
     budgeted_build,
+    extract_error_trace,
     forward_reach,
 )
 from repro.netlist.circuit import Circuit
 from repro.runtime.abort import EngineAbort
 from repro.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.core.rfn import RfnResult
 
 
 def _sat_depth(circuit: Circuit) -> int:
@@ -172,6 +175,14 @@ class KInductionEngine(Engine):
 
 
 class BddReachEngine(Engine):
+    """Plain symbolic model checking with cone-of-influence reduction:
+    encode *every* COI register, build the transition relation and run
+    the forward fixpoint -- the Table 1 baseline RFN is compared against
+    ("our symbolic model checker failed to verify any of the above five
+    properties", Section 3).  ``Limits.max_bdd_nodes`` caps the build as
+    well as the fixpoint; the manager never sifts (``bdd.reorder.sift``
+    polls no budget)."""
+
     name = "bdd"
     description = (
         "BDD forward reachability on the cone-of-influence reduction"
@@ -189,9 +200,10 @@ class BddReachEngine(Engine):
         prop.validate_against(circuit)
         reduced = coi_model(circuit, prop.signals())
         manager = BDD()
-        manager.auto_reorder = True
         try:
-            with budgeted_build(manager, limits.budget):
+            with budgeted_build(
+                manager, limits.budget, limits.max_bdd_nodes
+            ):
                 encoding = SymbolicEncoding(reduced, bdd=manager)
                 images = ImageComputer(encoding)
         except EngineAbort as abort:
@@ -223,7 +235,7 @@ class BddReachEngine(Engine):
                 invariant_encoding=encoding,
             )
         if reach.outcome is ReachOutcome.TARGET_HIT:
-            trace = _extract_error_trace(encoding, images, reach, target)
+            trace = extract_error_trace(images, reach, target)
             return VerifyResult(
                 engine=self.name,
                 verdict=Verdict.FALSIFIED,
@@ -258,37 +270,40 @@ class RfnEngine(Engine):
         # break somewhere.
         from repro.core.rfn import RFN, RfnConfig
 
-        result = RFN(
-            circuit,
-            prop,
-            RfnConfig(budget=limits.budget),
-        ).run()
-        iterations = len(result.iterations)
-        if result.verified:
-            return VerifyResult(
-                engine=self.name,
-                verdict=Verdict.VERIFIED,
-                detail=f"CEGAR verified in {iterations} iterations",
-                witness=WITNESS_INVARIANT,
-                seconds=result.seconds,
-                invariant=result.invariant,
-                invariant_encoding=result.invariant_encoding,
-            )
-        if result.falsified:
-            return VerifyResult(
-                engine=self.name,
-                verdict=Verdict.FALSIFIED,
-                detail=f"CEGAR falsified in {iterations} iterations",
-                witness=WITNESS_TRACE,
-                trace=result.trace,
-                seconds=result.seconds,
-            )
+        return rfn_verify_result(
+            RFN(circuit, prop, RfnConfig(budget=limits.budget)).run()
+        )
+
+
+def rfn_verify_result(result: "RfnResult") -> VerifyResult:
+    """The ``rfn`` engine's answer for one finished CEGAR run (the
+    service's checkpointing ``rfn`` body returns it too)."""
+    iterations = len(result.iterations)
+    if result.verified:
         return VerifyResult(
-            engine=self.name,
-            verdict=Verdict.UNKNOWN,
-            detail=result.detail or "CEGAR resource limit",
+            engine="rfn",
+            verdict=Verdict.VERIFIED,
+            detail=f"CEGAR verified in {iterations} iterations",
+            witness=WITNESS_INVARIANT,
+            seconds=result.seconds,
+            invariant=result.invariant,
+            invariant_encoding=result.invariant_encoding,
+        )
+    if result.falsified:
+        return VerifyResult(
+            engine="rfn",
+            verdict=Verdict.FALSIFIED,
+            detail=f"CEGAR falsified in {iterations} iterations",
+            witness=WITNESS_TRACE,
+            trace=result.trace,
             seconds=result.seconds,
         )
+    return VerifyResult(
+        engine="rfn",
+        verdict=Verdict.UNKNOWN,
+        detail=result.detail or "CEGAR resource limit",
+        seconds=result.seconds,
+    )
 
 
 class KernelBfsEngine(Engine):
@@ -375,7 +390,7 @@ class KernelBfsEngine(Engine):
         def make_trace(last_key: Tuple[int, ...]) -> Trace:
             # Walk parent pointers back to an initial state; the bad
             # state itself becomes the final cycle with a vacuous input
-            # vector (the shape mc.checker produces).
+            # vector (the shape mc.reach.extract_error_trace produces).
             path: List[Tuple[int, ...]] = []
             steps: List[Dict[str, int]] = []
             key: Optional[Tuple[int, ...]] = last_key

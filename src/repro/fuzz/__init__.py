@@ -21,7 +21,6 @@ correctness argument:
 from repro.fuzz.gen import FuzzInstance, GenConfig, generate_circuit, generate_instance
 from repro.fuzz.oracle import (
     EngineVerdict,
-    OracleConfig,
     OracleReport,
     Verdict,
     run_oracle,
@@ -42,7 +41,6 @@ __all__ = [
     "EngineVerdict",
     "FuzzInstance",
     "GenConfig",
-    "OracleConfig",
     "OracleReport",
     "Verdict",
     "generate_circuit",

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.fuzz.gen import FuzzInstance, GenConfig, generate_instance
 from repro.fuzz.oracle import (
     DEFAULT_ENGINES,
-    OracleConfig,
     OracleReport,
     Verdict,
     run_oracle,
@@ -109,7 +108,6 @@ def _reproduces(reference: OracleReport, candidate: OracleReport) -> bool:
 def shrink_finding(
     instance: FuzzInstance,
     report: OracleReport,
-    oracle_config: OracleConfig,
     engines: Optional[Sequence[str]] = None,
     max_checks: int = 400,
     log: Optional[Callable[[str], None]] = None,
@@ -119,7 +117,7 @@ def shrink_finding(
 
     def predicate(candidate: FuzzInstance) -> bool:
         candidate_report = run_oracle(
-            candidate.circuit, candidate.prop, oracle_config, engines=focus
+            candidate.circuit, candidate.prop, engines=focus
         )
         return _reproduces(report, candidate_report)
 
@@ -145,7 +143,6 @@ def run_campaign(
     iters: int = 50,
     budget_seconds: Optional[float] = None,
     gen_config: Optional[GenConfig] = None,
-    oracle_config: Optional[OracleConfig] = None,
     engines: Optional[Sequence[str]] = None,
     corpus_dir: Optional[str] = None,
     shrink: bool = True,
@@ -171,7 +168,6 @@ def run_campaign(
     written by the parent, serially, in seed order.
     """
     gen_config = gen_config or GenConfig()
-    oracle_config = oracle_config or OracleConfig()
     result = CampaignResult(seed=seed)
     start = time.monotonic()
     phase = obs.span(
@@ -193,7 +189,6 @@ def run_campaign(
                 iters=iters,
                 budget_seconds=budget_seconds,
                 gen_config=gen_config,
-                oracle_config=oracle_config,
                 engines=engines,
                 corpus_dir=corpus_dir,
                 shrink=shrink,
@@ -223,7 +218,6 @@ def run_campaign(
         report = run_oracle(
             instance.circuit,
             instance.prop,
-            oracle_config,
             engines=engines,
             budget=instance_budget,
         )
@@ -249,9 +243,7 @@ def run_campaign(
         finding = Finding(seed=instance_seed, report=report)
         result.findings.append(finding)
         if shrink:
-            shrunk = shrink_finding(
-                instance, report, oracle_config, log=log
-            )
+            shrunk = shrink_finding(instance, report, log=log)
             finding.shrunk_stats = shrunk.stats()
             if corpus_dir is not None:
                 finding.reproducer_path = save_reproducer(
@@ -273,7 +265,6 @@ def _run_sharded(
     iters: int,
     budget_seconds: Optional[float],
     gen_config: GenConfig,
-    oracle_config: OracleConfig,
     engines: Optional[Sequence[str]],
     corpus_dir: Optional[str],
     shrink: bool,
@@ -303,7 +294,6 @@ def _run_sharded(
         report = run_oracle(
             instance.circuit,
             instance.prop,
-            oracle_config,
             engines=engines,
             budget=instance_budget,
         )
@@ -324,7 +314,7 @@ def _run_sharded(
             # Shrink inside the worker (the expensive part); the parent
             # persists the reproducer serially.  FuzzInstance is plain
             # circuit + property, so it crosses the pipe.
-            shrunk = shrink_finding(instance, report, oracle_config)
+            shrunk = shrink_finding(instance, report)
             payload["shrunk"] = shrunk
             payload["shrunk_stats"] = shrunk.stats()
         return payload

@@ -1,10 +1,12 @@
 """The differential oracle: one instance, every engine, one verdict.
 
 Each engine answers "is the property's target cube reachable?" through a
-completely different mechanism (all resolved through the adapters of
-:mod:`repro.engine`):
+completely different mechanism (each a registry engine of
+:mod:`repro.engine`, run under the oracle's fixed per-engine ``Limits``
+plus the instance budget):
 
-- ``bmc``     -- SAT bounded model checking with simple-path k-induction,
+- ``bmc``     -- SAT bounded model checking with simple-path k-induction
+  (the registry's ``kinduction`` engine),
 - ``bdd``     -- BDD forward reachability on the COI-reduced design,
 - ``rfn``     -- the full abstraction-refinement CEGAR loop,
 - ``kernel``  -- exhaustive explicit-state search, with the next-state
@@ -46,12 +48,7 @@ from repro.engine import (
     Verdict,
     VerifyResult,
     join_all,
-)
-from repro.engine.adapters import (
-    BddReachEngine,
-    KernelBfsEngine,
-    KInductionEngine,
-    RfnEngine,
+    registry,
 )
 from repro.netlist.circuit import Circuit
 from repro.runtime.abort import EngineAbort
@@ -59,27 +56,15 @@ from repro.runtime.budget import Budget
 from repro.trace import Trace
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Per-engine budgets.  Defaults are sized for the fuzzer's small
-    circuits; every limit degrades the verdict to UNKNOWN, never to a
-    wrong answer."""
-
-    bmc_max_depth: int = 34
-    bmc_max_conflicts: Optional[int] = 200_000
-    bdd_max_nodes: Optional[int] = 500_000
-    bdd_max_seconds: Optional[float] = 20.0
-    rfn_max_seconds: Optional[float] = 20.0
-    # Kernel explicit-state search: caps on the exhaustive enumeration.
-    kernel_max_states: int = 1 << 13
-    kernel_max_inputs: int = 6
-    kernel_max_free_init: int = 4
-    kernel_chunk_lanes: int = 256
-    certify: bool = True
-    certify_max_conflicts: Optional[int] = 500_000
-    #: shared instance budget threaded into every engine; exhaustion
-    #: degrades that engine (and the rest of the instance) to UNKNOWN
-    budget: Optional[Budget] = None
+#: The oracle's fixed caps per engine, sized for the fuzzer's small
+#: circuits; every limit degrades the verdict to UNKNOWN, never to a
+#: wrong answer.  The ``bmc`` depth is further capped per circuit.
+BMC_LIMITS = Limits(max_depth=34, max_conflicts=200_000)
+BDD_LIMITS = Limits(max_bdd_nodes=500_000, max_seconds=20.0)
+RFN_LIMITS = Limits(max_seconds=20.0)
+KERNEL_LIMITS = Limits(max_states=1 << 13)
+#: per-solve conflict cap of every invariant certificate
+CERTIFY_MAX_CONFLICTS = 500_000
 
 
 @dataclass
@@ -189,79 +174,59 @@ class OracleReport:
 # Engines
 # ----------------------------------------------------------------------
 #
-# Each runner maps the oracle's per-engine budget knobs onto the
-# adapter's Limits and runs with contain=False: run_oracle classifies
+# Each runner adds the instance budget to its engine's fixed Limits and
+# runs the registry's engine with contain=False: run_oracle classifies
 # raised aborts itself (a budget stop is a resource limit, an arbitrary
 # crash is a finding), exactly as it always has.
 
 
+def _run(
+    oracle_name: str,
+    engine: str,
+    circuit: Circuit,
+    prop: UnreachabilityProperty,
+    limits: Limits,
+    budget: Optional[Budget],
+) -> EngineVerdict:
+    result = registry.get(engine).run(
+        circuit, prop, replace(limits, budget=budget), contain=False
+    )
+    return EngineVerdict.from_result(oracle_name, result)
+
+
 def _run_bmc(
-    circuit: Circuit, prop: UnreachabilityProperty, config: OracleConfig
+    circuit: Circuit, prop: UnreachabilityProperty, budget: Optional[Budget]
 ) -> EngineVerdict:
     # With simple-path constraints k-induction is complete at the
     # recurrence diameter; cap the unrolling at the state-count bound.
-    depth = min(config.bmc_max_depth, (1 << circuit.num_registers) + 2)
-    result = KInductionEngine().run(
-        circuit,
-        prop,
-        Limits(
-            max_depth=depth,
-            max_conflicts=config.bmc_max_conflicts,
-            budget=config.budget,
-        ),
-        contain=False,
-    )
-    return EngineVerdict.from_result("bmc", result)
+    depth = min(BMC_LIMITS.max_depth, (1 << circuit.num_registers) + 2)
+    limits = replace(BMC_LIMITS, max_depth=depth)
+    return _run("bmc", "kinduction", circuit, prop, limits, budget)
 
 
 def _run_bdd(
-    circuit: Circuit, prop: UnreachabilityProperty, config: OracleConfig
+    circuit: Circuit, prop: UnreachabilityProperty, budget: Optional[Budget]
 ) -> EngineVerdict:
-    """Forward reachability on the COI reduction.  Run directly (not via
-    ``model_check_coi``) so a FIXPOINT exposes its reached-set BDD as a
-    certifiable inductive invariant."""
-    result = BddReachEngine().run(
-        circuit,
-        prop,
-        Limits(
-            max_bdd_nodes=config.bdd_max_nodes,
-            max_seconds=config.bdd_max_seconds,
-            budget=config.budget,
-        ),
-        contain=False,
-    )
-    return EngineVerdict.from_result("bdd", result)
+    """Forward reachability on the COI reduction; a FIXPOINT exposes its
+    reached-set BDD as a certifiable inductive invariant."""
+    return _run("bdd", "bdd", circuit, prop, BDD_LIMITS, budget)
 
 
 def _run_rfn(
-    circuit: Circuit, prop: UnreachabilityProperty, config: OracleConfig
+    circuit: Circuit, prop: UnreachabilityProperty, budget: Optional[Budget]
 ) -> EngineVerdict:
-    result = RfnEngine().run(
-        circuit,
-        prop,
-        Limits(max_seconds=config.rfn_max_seconds, budget=config.budget),
-        contain=False,
-    )
-    return EngineVerdict.from_result("rfn", result)
+    return _run("rfn", "rfn", circuit, prop, RFN_LIMITS, budget)
 
 
 def _run_kernel(
-    circuit: Circuit, prop: UnreachabilityProperty, config: OracleConfig
+    circuit: Circuit, prop: UnreachabilityProperty, budget: Optional[Budget]
 ) -> EngineVerdict:
-    engine = KernelBfsEngine()
-    engine.max_inputs = config.kernel_max_inputs
-    engine.max_free_init = config.kernel_max_free_init
-    engine.chunk_lanes = config.kernel_chunk_lanes
-    result = engine.run(
-        circuit,
-        prop,
-        Limits(max_states=config.kernel_max_states, budget=config.budget),
-        contain=False,
-    )
-    return EngineVerdict.from_result("kernel", result)
+    return _run("kernel", "kernel", circuit, prop, KERNEL_LIMITS, budget)
 
 
-EngineRunner = Callable[[Circuit, UnreachabilityProperty, OracleConfig], EngineVerdict]
+EngineRunner = Callable[
+    [Circuit, UnreachabilityProperty, Optional[Budget]], EngineVerdict
+]
 
 # Name -> runner.  Tests monkeypatch entries here to inject deliberate
 # engine bugs.
@@ -284,7 +249,6 @@ def _certify_verdict(
     circuit: Circuit,
     prop: UnreachabilityProperty,
     verdict: EngineVerdict,
-    config: OracleConfig,
 ) -> None:
     """Attach an independent certificate to a definite verdict."""
     if verdict.verdict is Verdict.FALSIFIED and verdict.trace is not None:
@@ -304,7 +268,7 @@ def _certify_verdict(
             prop,
             verdict.invariant,
             verdict.invariant_encoding,
-            max_conflicts=config.certify_max_conflicts,
+            max_conflicts=CERTIFY_MAX_CONFLICTS,
         )
         verdict.certificate = cert.status.value
         verdict.certificate_detail = "; ".join(
@@ -315,21 +279,17 @@ def _certify_verdict(
 def run_oracle(
     circuit: Circuit,
     prop: UnreachabilityProperty,
-    config: Optional[OracleConfig] = None,
     engines: Optional[Sequence[str]] = None,
     budget: Optional[Budget] = None,
 ) -> OracleReport:
-    """Run every engine on one instance and reconcile the verdicts.
+    """Run every engine on one instance, certify every definite verdict
+    and reconcile the verdicts.
 
-    ``budget`` (or ``config.budget``) is a per-instance runtime budget:
-    once it expires, remaining engines report UNKNOWN instead of
-    running, and an in-flight engine that trips it is recorded as
-    UNKNOWN -- a resource limit is never a finding.
+    ``budget`` is a per-instance runtime budget: once it expires,
+    remaining engines report UNKNOWN instead of running, and an
+    in-flight engine that trips it is recorded as UNKNOWN -- a resource
+    limit is never a finding.
     """
-    config = config or OracleConfig()
-    if budget is not None:
-        config = replace(config, budget=budget)
-    budget = config.budget
     names = tuple(engines) if engines is not None else DEFAULT_ENGINES
     report = OracleReport(name=circuit.name)
     start = time.monotonic()
@@ -345,7 +305,7 @@ def run_oracle(
             )
             continue
         try:
-            verdict = runner(circuit, prop, config)
+            verdict = runner(circuit, prop, budget)
         except (EngineAbort, MemoryError) as error:
             # A budget stop is a resource limit, not an engine bug.
             report.resource_out = True
@@ -364,9 +324,9 @@ def run_oracle(
             )
             report.errors.append(f"{name}: {verdict.detail}")
         report.verdicts.append(verdict)
-        if config.certify and verdict.verdict.definite:
+        if verdict.verdict.definite:
             try:
-                _certify_verdict(circuit, prop, verdict, config)
+                _certify_verdict(circuit, prop, verdict)
             except (EngineAbort, MemoryError):
                 # Budget ran out mid-certification: not a finding.
                 report.resource_out = True

@@ -1,11 +1,11 @@
 """Forward reachability with onion rings and on-the-fly target checks.
 
-This is the fixpoint engine of RFN Step 2 (and of the plain-model-checker
-baseline): compute the post-image sequence ``S_0 = A``, ``S_i =
-post(S_{i-1})``, accumulate the reached set, stop when it closes (property
-True on this model) or when a target state shows up in some ``S_k``.  The
-rings ``S_1..S_k`` are kept because the hybrid trace engine walks them
-backwards (Section 2.2).
+This is the fixpoint engine of RFN Step 2 (and of the ``bdd`` engine, the
+plain-model-checker baseline): compute the post-image sequence ``S_0 =
+A``, ``S_i = post(S_{i-1})``, accumulate the reached set, stop when it
+closes (property True on this model) or when a target state shows up in
+some ``S_k``.  The rings ``S_1..S_k`` are kept because the hybrid trace
+engine and :func:`extract_error_trace` walk them backwards (Section 2.2).
 
 Resource limits (iterations, BDD nodes, wall-clock) end the run with the
 ``RESOURCE_OUT`` outcome -- the honest answer a Python BDD engine must
@@ -24,7 +24,7 @@ import contextlib
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.bdd import BDD, Function
 from repro.kernel.perf import PERF
@@ -32,6 +32,7 @@ from repro.mc.images import ImageComputer
 from repro.obs import tracer as obs
 from repro.runtime.abort import EngineAbort
 from repro.runtime.budget import Budget
+from repro.trace import Trace
 
 
 class ReachOutcome(enum.Enum):
@@ -67,17 +68,23 @@ class ReachResult:
 
 
 @contextlib.contextmanager
-def budgeted_build(bdd: BDD, budget: Optional[Budget]) -> Iterator[None]:
-    """Poll ``budget`` inside the BDD work of the block -- the encoding
-    and transition-relation build before :func:`forward_reach`, which
-    installs its own hook -- and restore the manager's hook after."""
-    saved = bdd.checkpoint_hook
+def budgeted_build(
+    bdd: BDD, budget: Optional[Budget], max_nodes: Optional[int]
+) -> Iterator[None]:
+    """Poll ``budget`` and cap allocation at ``4 * max_nodes`` (the
+    ceiling :func:`forward_reach` sets for the fixpoint) inside the BDD
+    work of the block -- the encoding and transition-relation build
+    before :func:`forward_reach`, which installs its own -- and restore
+    the manager's hook and limit after."""
+    saved_hook, saved_limit = bdd.checkpoint_hook, bdd.node_limit
     if budget is not None:
         bdd.checkpoint_hook = budget.hook("bdd")
+    if max_nodes is not None:
+        bdd.node_limit = max_nodes * 4
     try:
         yield
     finally:
-        bdd.checkpoint_hook = saved
+        bdd.checkpoint_hook, bdd.node_limit = saved_hook, saved_limit
 
 
 def forward_reach(
@@ -187,3 +194,58 @@ def forward_reach(
         frontier = image
         if step_hook is not None:
             step_hook(iteration, reached)
+
+
+def extract_error_trace(
+    images: ImageComputer, reach_result: ReachResult, target: Function
+) -> Trace:
+    """Standard BDD trace construction by backwards pre-image through the
+    onion rings of a ``TARGET_HIT`` result.  This is the step that dies
+    on abstract models with many primary inputs, motivating the hybrid
+    engine (Section 2.2)."""
+    encoding = images.encoding
+    bdd = encoding.bdd
+    hit = reach_result.hit_ring
+    rings = reach_result.rings
+    registers = encoding.current_vars
+    # Pick a total bad state in the last ring, then walk back through the
+    # rings one total state at a time (completing a cube's don't-cares
+    # keeps it inside the set, since skipped BDD levels are free).
+    states: List[Dict[str, int]] = []
+    choice = bdd.pick_cube(rings[hit] & target)
+    total = _complete_state(registers, choice)
+    states.append(total)
+    current = bdd.cube(total)
+    for ring_index in range(hit - 1, -1, -1):
+        pred = images.pre_image(current) & rings[ring_index]
+        choice = bdd.pick_cube(pred)
+        total = _complete_state(registers, choice)
+        current = bdd.cube(total)
+        states.append(total)
+    states.reverse()
+    # Recover input vectors cycle by cycle: inputs consistent with the
+    # transition from states[i] to states[i+1].
+    inputs: List[Dict[str, int]] = []
+    input_vars = list(encoding.input_vars)
+    for i in range(len(states) - 1):
+        constraint = bdd.cube(states[i])
+        for reg, value in states[i + 1].items():
+            fn = encoding.next_state_function(reg)
+            constraint = constraint & (fn if value else ~fn)
+        choice = bdd.pick_cube(constraint) or {}
+        inputs.append({n: choice.get(n, 0) for n in input_vars})
+    inputs.append({n: 0 for n in input_vars})
+    return Trace(
+        states=states,
+        inputs=inputs,
+        circuit_name=encoding.circuit.name,
+    )
+
+
+def _complete_state(
+    registers: List[str], cube: Optional[Dict[str, int]]
+) -> Dict[str, int]:
+    """The state part of ``cube``, made total by filling unassigned
+    registers with 0."""
+    cube = cube or {}
+    return {name: cube.get(name, 0) for name in registers}

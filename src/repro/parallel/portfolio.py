@@ -147,7 +147,6 @@ def _finish(
     circuit: Circuit,
     prop: UnreachabilityProperty,
     winning: Optional[WorkerEnvelope],
-    canonicalize: bool,
     start: float,
 ) -> PortfolioResult:
     if winning is not None:
@@ -166,11 +165,7 @@ def _finish(
         result.trace = None
         result.seconds = time.monotonic() - start
         return result
-    if (
-        canonicalize
-        and result.verdict is Verdict.FALSIFIED
-        and result.trace is not None
-    ):
+    if result.verdict is Verdict.FALSIFIED and result.trace is not None:
         result.trace = canonical_witness(circuit, prop, result.trace)
         result.canonical = True
     result.seconds = time.monotonic() - start
@@ -185,7 +180,6 @@ def race(
     budget: Optional[Budget] = None,
     chaos: Optional[ChaosMonkey] = None,
     log: Optional[Callable[[str], None]] = None,
-    canonicalize: bool = True,
 ) -> PortfolioResult:
     """Race ``strategies`` on one obligation; see the module docstring.
 
@@ -235,7 +229,7 @@ def race(
                 winning = envelope
                 break
         return finish_race(
-            _finish(result, circuit, prop, winning, canonicalize, start)
+            _finish(result, circuit, prop, winning, start)
         )
 
     pending = list(strategies)
@@ -316,5 +310,5 @@ def race(
     order = {name: i for i, name in enumerate(strategies)}
     result.envelopes.sort(key=lambda e: order.get(e.strategy, len(order)))
     return finish_race(
-        _finish(result, circuit, prop, winning, canonicalize, start)
+        _finish(result, circuit, prop, winning, start)
     )

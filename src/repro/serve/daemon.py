@@ -56,13 +56,7 @@ from repro.core.property import UnreachabilityProperty
 from repro.kernel.perf import PERF
 from repro.netlist.textio import circuit_from_text
 from repro.obs import tracer as obs
-from repro.engine import (
-    Verdict,
-    VerifyResult,
-    WITNESS_INVARIANT,
-    WITNESS_TRACE,
-    registry,
-)
+from repro.engine import Verdict, VerifyResult, registry
 from repro.parallel.envelope import (
     WorkerEnvelope,
     budget_from_limits,
@@ -144,6 +138,7 @@ def _rfn_with_checkpoint(checkpoint_path: str):
 
     def body(circuit, prop, limits) -> VerifyResult:
         from repro.core.rfn import RfnConfig, rfn_verify
+        from repro.engine.adapters import rfn_verify_result
 
         resume = None
         try:
@@ -156,39 +151,12 @@ def _rfn_with_checkpoint(checkpoint_path: str):
             budget=limits.budget, checkpoint_path=checkpoint_path
         )
         result = rfn_verify(circuit, prop, config, resume=resume)
-        resumed = (
-            f" (resumed {result.resumed_iterations} iterations)"
-            if result.resumed_iterations
-            else ""
-        )
-        if result.verified:
-            return VerifyResult(
-                engine="rfn",
-                verdict=Verdict.VERIFIED,
-                detail=(
-                    f"CEGAR verified in {len(result.iterations)} "
-                    f"iterations{resumed}"
-                ),
-                witness=WITNESS_INVARIANT,
-                invariant=result.invariant,
-                invariant_encoding=result.invariant_encoding,
+        answer = rfn_verify_result(result)
+        if result.resumed_iterations:
+            answer.detail += (
+                f" (resumed {result.resumed_iterations} iterations)"
             )
-        if result.falsified:
-            return VerifyResult(
-                engine="rfn",
-                verdict=Verdict.FALSIFIED,
-                detail=(
-                    f"CEGAR falsified in {len(result.iterations)} "
-                    f"iterations{resumed}"
-                ),
-                witness=WITNESS_TRACE,
-                trace=result.trace,
-            )
-        return VerifyResult(
-            engine="rfn",
-            verdict=Verdict.UNKNOWN,
-            detail=result.detail or "CEGAR resource limit",
-        )
+        return answer
 
     return body
 

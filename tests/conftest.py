@@ -151,13 +151,13 @@ def sat_counter():
 # Cross-engine agreement
 # --------------------------------------------------------------------
 
-def assert_engines_agree(circuit, prop, engines=None, config=None):
+def assert_engines_agree(circuit, prop, engines=None):
     """Run the differential oracle on ``(circuit, prop)`` and fail the
     test on any engine disagreement, failed certificate, or engine
     crash.  Returns the :class:`~repro.fuzz.oracle.OracleReport` so
     callers can additionally assert on the consensus verdict."""
     from repro.fuzz.oracle import run_oracle
 
-    report = run_oracle(circuit, prop, config=config, engines=engines)
+    report = run_oracle(circuit, prop, engines=engines)
     assert report.ok, report.summary()
     return report

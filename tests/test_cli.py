@@ -86,8 +86,25 @@ class TestVerify:
 
     def test_smc_engine(self, true_netlist, capsys):
         path, wd = true_netlist
-        assert main(["verify", path, "--watchdog", wd, "--engine", "smc"]) == 0
-        assert "SMC" in capsys.readouterr().out
+        assert main(["verify", path, "--watchdog", wd, "--engine", "bdd"]) == 0
+        assert "bdd" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--engine", "smc"],
+        ["--engine", "bdd", "--max-nodes", "1000"],  # deleted flag
+        ["--engine", "bmc", "--unique-states"],  # deleted flag
+    ])
+    def test_deleted_engine_and_flags_are_usage_errors(
+        self, true_netlist, flags
+    ):
+        path, wd = true_netlist
+        assert main(["verify", path, "--watchdog", wd, *flags]) == 3
+
+    def test_bmc_is_the_registered_plain_bmc(self, true_netlist, capsys):
+        # The property holds, and plain BMC never proves: inconclusive.
+        path, wd = true_netlist
+        assert main(["verify", path, "--watchdog", wd, "--engine", "bmc"]) == 2
+        assert capsys.readouterr().out.startswith("bmc: unknown")
 
     def test_verbose_logs(self, true_netlist, capsys):
         path, wd = true_netlist
@@ -113,12 +130,9 @@ class TestResilienceCli:
         assert code == 2
         assert "resource out" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine, label", [
-        ("bmc", "BMC: unknown"),
-        ("smc", "plain SMC+COI: resource_out"),
-    ])
-    def test_timeout_in_bespoke_branches_is_one_report_line(
-        self, true_netlist, capsys, engine, label
+    @pytest.mark.parametrize("engine", ["bmc", "bdd"])
+    def test_timeout_in_registered_engines_is_one_report_line(
+        self, true_netlist, capsys, engine
     ):
         # --timeout is verify's one time flag, a budget for every branch;
         # running out is an inconclusive verdict, never a traceback.
@@ -127,6 +141,7 @@ class TestResilienceCli:
                      "--engine", engine, "--timeout", "0"])
         assert code == 2
         captured = capsys.readouterr()
+        label = f"{engine}: unknown"
         assert captured.out.splitlines()[0].startswith(label)
         assert len(captured.out.splitlines()) == 1
         assert "Traceback" not in captured.err

@@ -24,8 +24,6 @@ from repro.engine import (
     VerifyResult,
     registry,
 )
-from repro.mc import CheckOutcome, model_check_coi
-from repro.mc.reach import ReachLimits
 from repro.runtime import Budget
 
 from tests.conftest import toggle_design
@@ -79,15 +77,19 @@ def test_float_and_budget_spellings_stop_alike(workloads, engine):
             assert elapsed < STOP_WITHIN, (limits, elapsed, result.detail)
 
 
-def test_model_check_coi_build_stops_on_the_budget(workloads):
-    # mutex's transition-relation build alone outlasts SECONDS: an abort
-    # inside it is RESOURCE_OUT, like one inside the fixpoint.
+def test_bdd_node_cap_stops_the_build(workloads):
+    # Table 1's baseline cap: mutex's transition relation alone needs
+    # more than 4x the 60k-node cap, so the bdd engine gives up inside
+    # the build, before its first image step.
     workload = workloads["mutex"]
-    limits = ReachLimits(budget=Budget(max_seconds=SECONDS))
-    start = time.monotonic()
-    result = model_check_coi(workload.circuit, workload.prop, limits=limits)
-    assert result.outcome is CheckOutcome.RESOURCE_OUT
-    assert time.monotonic() - start < STOP_WITHIN
+    result = registry.get("bdd").run(
+        workload.circuit, workload.prop, Limits(max_bdd_nodes=60_000)
+    )
+    assert result.verdict is Verdict.UNKNOWN
+    assert result.detail == (
+        "reachability resource limit "
+        "(nodes, building the transition relation)"
+    )
 
 
 def _seen_limits():

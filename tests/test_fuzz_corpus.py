@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.fuzz import OracleConfig, Verdict, load_corpus, run_oracle
+from repro.fuzz import Verdict, load_corpus, run_oracle
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_corpus(CORPUS_DIR)
@@ -33,7 +33,7 @@ class TestCorpusReplay:
         instance.prop.validate_against(instance.circuit)
 
     def test_engines_agree_and_certify(self, path, instance):
-        report = run_oracle(instance.circuit, instance.prop, OracleConfig())
+        report = run_oracle(instance.circuit, instance.prop)
         assert report.ok, f"{os.path.basename(path)}: {report.summary()}"
         assert report.consensus in (Verdict.VERIFIED, Verdict.FALSIFIED)
 
@@ -42,7 +42,7 @@ def test_corpus_covers_both_polarities():
     """The corpus must pin down VERIFIED and FALSIFIED reproducers, so
     both the proof path and the trace path stay under regression watch."""
     consensus = {
-        run_oracle(inst.circuit, inst.prop, OracleConfig()).consensus
+        run_oracle(inst.circuit, inst.prop).consensus
         for _, inst in CORPUS
     }
     assert Verdict.VERIFIED in consensus

@@ -16,7 +16,6 @@ import pytest
 import repro.fuzz.gen as gen_mod
 import repro.fuzz.oracle as oracle_mod
 from repro.fuzz import (
-    OracleConfig,
     Verdict,
     generate_instance,
     instance_from_text,
@@ -115,7 +114,7 @@ class TestEngineAgreement:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_engines_agree(self, seed):
         inst = generate_instance(seed)
-        report = run_oracle(inst.circuit, inst.prop, OracleConfig())
+        report = run_oracle(inst.circuit, inst.prop)
         assert report.ok, report.summary()
         assert report.consensus in (Verdict.VERIFIED, Verdict.FALSIFIED)
 
@@ -126,7 +125,6 @@ class TestEngineAgreement:
             run_oracle(
                 generate_instance(s).circuit,
                 generate_instance(s).prop,
-                OracleConfig(),
             ).consensus
             for s in SEEDS
         }
@@ -138,7 +136,7 @@ class TestInjectedBug:
     """A lying engine must be caught, shrunk, and persisted."""
 
     def _lying_engine(self, name, verdict):
-        def run(circuit, prop, config):
+        def run(circuit, prop, budget):
             return EngineVerdict(
                 engine=name, verdict=verdict, detail="injected bug"
             )
@@ -155,11 +153,11 @@ class TestInjectedBug:
             "bmc",
             self._lying_engine("bmc", Verdict.VERIFIED),
         )
-        report = run_oracle(inst.circuit, inst.prop, OracleConfig())
+        report = run_oracle(inst.circuit, inst.prop)
         assert not report.ok
         assert any("bmc" in pair for pair in report.disagreements)
 
-        shrunk = shrink_finding(inst, report, OracleConfig())
+        shrunk = shrink_finding(inst, report)
         assert shrunk.circuit.num_gates < inst.circuit.num_gates
         assert shrunk.circuit.num_registers <= inst.circuit.num_registers
 
@@ -168,9 +166,7 @@ class TestInjectedBug:
         assert replayed_path == path
         assert replayed.prop.target == shrunk.prop.target
         # Still reproduces through the round-trip, lying engine active:
-        replay_report = run_oracle(
-            replayed.circuit, replayed.prop, OracleConfig()
-        )
+        replay_report = run_oracle(replayed.circuit, replayed.prop)
         assert not replay_report.ok
 
     def test_campaign_catches_injected_bug(self, monkeypatch, tmp_path):

@@ -5,22 +5,21 @@ These are the shape claims of the paper's evaluation, checked end to end:
 - RFN verifies/falsifies every Table-1 property, with abstract models a
   tiny fraction of the COI;
 - the falsified ``error_flag`` yields a concrete, replayable error trace;
-- the plain COI model checker resources out on the processor properties;
+- the plain COI model checker (the ``bdd`` engine) resources out on the
+  processor properties;
 - RFN matches or beats the BFS method on every Table-2 coverage row.
 """
 
 import pytest
 
 from repro.core import RFN, RfnConfig
-from repro.engine import Verdict
+from repro.engine import Limits, Verdict, registry
 from repro.core.coverage import (
     CoverageAnalyzer,
     CoverageConfig,
     bfs_coverage_analysis,
 )
 from repro.designs import table1_workloads, table2_workloads
-from repro.mc import CheckOutcome, model_check_coi
-from repro.mc.reach import ReachLimits
 from repro.netlist.ops import coi_stats
 from repro.runtime import Budget
 from repro.sim import Simulator
@@ -76,14 +75,12 @@ class TestTable1Shape:
 
     def test_plain_checker_fails_on_processor(self, table1):
         workload = next(w for w in table1 if w.name == "mutex")
-        result = model_check_coi(
+        result = registry.get("bdd").run(
             workload.circuit,
             workload.prop,
-            limits=ReachLimits(
-                max_nodes=60_000, budget=Budget(max_seconds=20)
-            ),
+            Limits(max_bdd_nodes=60_000, budget=Budget(max_seconds=20)),
         )
-        assert result.outcome is CheckOutcome.RESOURCE_OUT
+        assert result.verdict is Verdict.UNKNOWN
 
 
 class TestTable2Shape:

@@ -1,11 +1,12 @@
-"""Tests for the COI-reduced baseline model checker and properties."""
+"""Tests for the COI-reduced BDD model checker (the registry's ``bdd``
+engine, Table 1's baseline) and properties."""
 
 import pytest
 
 from repro.core.property import UnreachabilityProperty, watchdog_property
+from repro.engine import Limits, Verdict, registry
+from repro.kernel.scache import coi_model
 from repro.trace import Trace
-from repro.mc import CheckOutcome, model_check_coi
-from repro.mc.reach import ReachLimits
 from repro.netlist import Circuit, NetlistError
 from repro.netlist.words import WordReg, w_eq_const, w_inc
 from repro.sim import Simulator
@@ -75,18 +76,22 @@ class TestProperty:
             watchdog_property(Circuit(), "ghost", "p")
 
 
+def model_check(circuit, prop, limits=None):
+    return registry.get("bdd").run(circuit, prop, limits)
+
+
 class TestChecker:
     def test_false_property_found_with_trace(self):
         c, prop = counter_with_watchdog()
-        result = model_check_coi(c, prop)
-        assert result.outcome is CheckOutcome.FALSE
+        result = model_check(c, prop)
+        assert result.verdict is Verdict.FALSIFIED
         assert result.trace is not None
         # Watchdog latches one cycle after cnt==5: trace length 7 states.
         assert result.trace.length == 7
 
     def test_error_trace_replays(self):
         c, prop = counter_with_watchdog()
-        result = model_check_coi(c, prop)
+        result = model_check(c, prop)
         trace = result.trace
         sim = Simulator(c)
         frames = sim.run(trace.inputs, state=trace.states[0])
@@ -95,16 +100,15 @@ class TestChecker:
 
     def test_true_property(self):
         c, prop = safe_counter()
-        result = model_check_coi(c, prop)
-        assert result.outcome is CheckOutcome.TRUE
+        result = model_check(c, prop)
+        assert result.verdict is Verdict.VERIFIED
         assert result.trace is None
 
     def test_resource_out(self):
         c, prop = counter_with_watchdog(width=6, bad_value=60)
-        result = model_check_coi(
-            c, prop, limits=ReachLimits(max_iterations=2)
-        )
-        assert result.outcome is CheckOutcome.RESOURCE_OUT
+        # Room for the transition relation, not for the 61-image fixpoint.
+        result = model_check(c, prop, Limits(max_bdd_nodes=200))
+        assert result.verdict is Verdict.UNKNOWN
 
     def test_coi_reduction_prunes_unrelated_logic(self):
         c, prop = safe_counter()
@@ -112,15 +116,10 @@ class TestChecker:
         for i in range(8):
             c.add_register(c.add_input(f"x{i}"), output=f"junk{i}")
         c.validate()
-        result = model_check_coi(c, prop)
-        assert result.outcome is CheckOutcome.TRUE
-        assert result.coi_registers == 3 + 1  # counter bits + watchdog
-
-    def test_trace_without_production(self):
-        c, prop = counter_with_watchdog()
-        result = model_check_coi(c, prop, produce_trace=False)
-        assert result.outcome is CheckOutcome.FALSE
-        assert result.trace is None
+        result = model_check(c, prop)
+        assert result.verdict is Verdict.VERIFIED
+        # counter bits + watchdog
+        assert coi_model(c, prop.signals()).num_registers == 3 + 1
 
 
 class TestTraceType:
